@@ -2,17 +2,17 @@
 
 The headline leaderboard always comes from the holdout split; k-fold
 cross-validation is opt-in and attached per report. A model that fails to
-fit becomes an error row instead of aborting the run. Models may be
-evaluated in parallel; ordering is by the sort rule, never completion order.
+fit, on the holdout split or in a CV fold, becomes an error row instead of
+aborting the run. Models may be evaluated in parallel; ordering is by the
+sort rule, never completion order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from flowbench.metrics import (
     confusion,
     cv_evaluate,
     f1,
+    fit_and_score,
     roc_curve,
 )
 
@@ -47,6 +48,10 @@ class EvalReport:
     cv: CVResult | None = None
     scores: np.ndarray | None = field(default=None, compare=False, repr=False)
     test_labels: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+
+# The metric columns of the CSV and JSON renderings, in this order.
+_METRIC_FIELDS = [f.name for f in fields(EvalReport) if f.type == "float | None"]
 
 
 @dataclass
@@ -77,24 +82,20 @@ def run_benchmark(
     if not names:
         raise ValueError("empty model set")
     n_classes = matrix.n_classes
-    train_labels = matrix.labels[plan.train_indices]
     test_labels = matrix.labels[plan.test_indices]
     fold_assignment = plan.fold_assignment
     if options.folds >= 2 and fold_assignment is None:
         fold_assignment = k_folds(matrix.labels, options.folds, options.seed)
 
     def evaluate(name: str) -> EvalReport:
-        model = make_model(name, seed=options.seed)
-        rows = matrix.rows_for(model)
-        train_rows = rows[plan.train_indices]
-        test_rows = rows[plan.test_indices]
+        def new_model():
+            return make_model(name, seed=options.seed)
+
         try:
-            started = time.perf_counter()
-            model.fit(train_rows, train_labels)
-            raw_scores = model.predict_scores(test_rows)
-            predicted = model.labels_from_scores(raw_scores)
-            elapsed = time.perf_counter() - started
-            scores = np.zeros((test_rows.shape[0], n_classes), dtype=np.float64)
+            model, raw_scores, predicted, elapsed = fit_and_score(
+                new_model, matrix, plan.train_indices, plan.test_indices
+            )
+            scores = np.zeros((raw_scores.shape[0], n_classes), dtype=np.float64)
             scores[:, model.classes_] = raw_scores
             cm = confusion(test_labels, predicted, n_classes)
             report = EvalReport(
@@ -109,16 +110,16 @@ def run_benchmark(
                 scores=scores,
                 test_labels=test_labels,
             )
+            if options.folds >= 2:
+                report.cv = cv_evaluate(
+                    new_model,
+                    matrix,
+                    fold_assignment,
+                    lambda y_true, y_pred: 1.0
+                    - accuracy(confusion(y_true, y_pred, n_classes)),
+                )
         except Exception as exc:
             return EvalReport(model=name, status=f"error: {exc}")
-        if options.folds >= 2:
-            report.cv = cv_evaluate(
-                lambda: make_model(name, seed=options.seed),
-                matrix,
-                fold_assignment,
-                lambda y_true, y_pred: 1.0
-                - accuracy(confusion(y_true, y_pred, n_classes)),
-            )
         return report
 
     if options.workers > 1:
@@ -235,30 +236,13 @@ def _render_csv(leaderboard: Leaderboard) -> str:
 
     buffer = _io.StringIO()
     writer = _csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "model",
-            "status",
-            "accuracy",
-            "balanced_accuracy",
-            "roc_auc_macro",
-            "f1_weighted",
-            "f1_macro",
-            "time_taken_s",
-            "cv_error",
-        ]
-    )
+    writer.writerow(["model", "status", *_METRIC_FIELDS, "cv_error"])
     for r in leaderboard.reports:
         writer.writerow(
             [
                 r.model,
                 r.status,
-                _fmt(r.accuracy),
-                _fmt(r.balanced_accuracy),
-                _fmt(r.roc_auc_macro),
-                _fmt(r.f1_weighted),
-                _fmt(r.f1_macro),
-                _fmt(r.time_taken_s),
+                *(_fmt(getattr(r, name)) for name in _METRIC_FIELDS),
                 _fmt(r.cv.cv_error) if r.cv is not None else "",
             ]
         )
@@ -275,20 +259,11 @@ def to_json_dict(leaderboard: Leaderboard) -> dict:
         entry = {
             "model": r.model,
             "status": r.status,
-            "accuracy": r.accuracy,
-            "balanced_accuracy": r.balanced_accuracy,
-            "roc_auc_macro": r.roc_auc_macro,
-            "f1_weighted": r.f1_weighted,
-            "f1_macro": r.f1_macro,
-            "time_taken_s": r.time_taken_s,
+            **{name: getattr(r, name) for name in _METRIC_FIELDS},
             "confusion": r.confusion,
         }
         if r.cv is not None:
-            entry["cv"] = {
-                "k": r.cv.k,
-                "fold_errors": r.cv.fold_errors,
-                "cv_error": r.cv.cv_error,
-            }
+            entry["cv"] = asdict(r.cv)
         reports.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -310,12 +285,7 @@ def leaderboard_from_json(text: str) -> Leaderboard:
             EvalReport(
                 model=entry["model"],
                 status=entry["status"],
-                accuracy=entry["accuracy"],
-                balanced_accuracy=entry["balanced_accuracy"],
-                roc_auc_macro=entry["roc_auc_macro"],
-                f1_weighted=entry["f1_weighted"],
-                f1_macro=entry["f1_macro"],
-                time_taken_s=entry["time_taken_s"],
+                **{name: entry[name] for name in _METRIC_FIELDS},
                 confusion=entry["confusion"],
                 cv=CVResult(**cv_doc) if cv_doc is not None else None,
             )

@@ -25,7 +25,6 @@ from flowbench.classifiers.persistence import (
 )
 from flowbench.classifiers.registry import (
     MODEL_CLASSES,
-    MODEL_FACTORIES,
     MODEL_NAMES,
     make_model,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "LinearSVMModel",
     "LogisticRegressionModel",
     "MODEL_CLASSES",
-    "MODEL_FACTORIES",
     "MODEL_NAMES",
     "ModelArtifact",
     "ModelFormatError",

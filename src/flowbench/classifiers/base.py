@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 
@@ -55,7 +57,8 @@ class Classifier:
 
     @property
     def hyperparameters(self) -> dict:
-        return {}
+        """Constructor arguments by name; each is stored under the same attribute."""
+        return {p: getattr(self, p) for p in inspect.signature(type(self)).parameters}
 
     # persistence hooks -----------------------------------------------------
     def get_state(self) -> dict:

@@ -26,10 +26,6 @@ class GaussianNBModel(Classifier):
         self.variances_: np.ndarray | None = None
         self.log_priors_: np.ndarray | None = None
 
-    @property
-    def hyperparameters(self) -> dict:
-        return {"var_smoothing": self.var_smoothing}
-
     def _fit(self, X, codes):
         k = self.classes_.size
         floor = self.var_smoothing * float(X.var(axis=0).max())
@@ -80,10 +76,6 @@ class BernoulliNBModel(Classifier):
         self.log_rates_: np.ndarray | None = None
         self.log_complements_: np.ndarray | None = None
         self.log_priors_: np.ndarray | None = None
-
-    @property
-    def hyperparameters(self) -> dict:
-        return {"alpha": self.alpha}
 
     def _fit(self, X, codes):
         k = self.classes_.size

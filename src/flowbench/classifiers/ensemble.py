@@ -45,19 +45,11 @@ class _TreeEnsemble(Classifier):
         )
         self.seed = seed
         self.trees_: list[TreeNode] | None = None
-        self.feature_masks_: list[list[bool]] | None = None
 
     @property
-    def hyperparameters(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_impurity_decrease": self.min_impurity_decrease,
-            "bootstrap": self.bootstrap,
-            "max_features": self.max_features,
-            "seed": self.seed,
-        }
+    def feature_masks_(self) -> list[list[bool]]:
+        """Per tree, which feature columns at least one of its splits uses."""
+        return [features_used(root, self.n_features_) for root in self.trees_]
 
     def _resolve_max_features(self, d: int) -> int | None:
         if self.max_features == "all":
@@ -74,7 +66,6 @@ class _TreeEnsemble(Classifier):
         k = self.classes_.size
         per_split = self._resolve_max_features(d)
         trees: list[TreeNode] = []
-        masks: list[list[bool]] = []
         for i in range(self.n_trees):
             rng = np.random.default_rng([self.seed, i])
             if self.bootstrap:
@@ -94,9 +85,7 @@ class _TreeEnsemble(Classifier):
                 rng=rng,
             )
             trees.append(root)
-            masks.append(features_used(root, d))
         self.trees_ = trees
-        self.feature_masks_ = masks
 
     def _scores(self, X):
         k = self.classes_.size
@@ -106,14 +95,10 @@ class _TreeEnsemble(Classifier):
         return total / len(self.trees_)
 
     def _state(self):
-        return {
-            "trees": [t.to_dict() for t in self.trees_],
-            "feature_masks": self.feature_masks_,
-        }
+        return {"trees": [t.to_dict() for t in self.trees_]}
 
     def _load_state(self, state):
         self.trees_ = [TreeNode.from_dict(doc) for doc in state["trees"]]
-        self.feature_masks_ = [list(mask) for mask in state["feature_masks"]]
 
 
 class BaggingModel(_TreeEnsemble):

@@ -53,16 +53,6 @@ class _SGDBase(Classifier):
         self.weights_: np.ndarray | None = None
         self.bias_: np.ndarray | None = None
 
-    @property
-    def hyperparameters(self) -> dict:
-        return {
-            "max_epochs": self.max_epochs,
-            "learning_rate": self.learning_rate,
-            "l2": self.l2,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
-
     def _fit(self, X, codes):
         if not np.isfinite(X).all():
             raise ValueError("non-finite feature values")
@@ -168,10 +158,6 @@ class RidgeModel(Classifier):
         self.lam = lam
         self.weights_: np.ndarray | None = None
         self.bias_: np.ndarray | None = None
-
-    @property
-    def hyperparameters(self) -> dict:
-        return {"lam": self.lam}
 
     def _fit(self, X, codes):
         n, d = X.shape

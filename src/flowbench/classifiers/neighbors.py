@@ -28,10 +28,6 @@ class KNNModel(Classifier):
         self.train_codes_: np.ndarray | None = None
         self._neighbor_basis: np.ndarray | None = None
 
-    @property
-    def hyperparameters(self) -> dict:
-        return {"k": self.k}
-
     def _fit(self, X, codes):
         if self.k > X.shape[0]:
             raise ValueError(f"k={self.k} exceeds the training size ({X.shape[0]})")

@@ -1,8 +1,8 @@
-"""Model registry: stable snake_case names to seeded default-parameter factories."""
+"""Model registry: stable snake_case names to default-parameter model classes."""
 
 from __future__ import annotations
 
-from typing import Callable
+import inspect
 
 from flowbench.classifiers.base import Classifier
 from flowbench.classifiers.bayes import BernoulliNBModel, GaussianNBModel
@@ -20,25 +20,6 @@ from flowbench.classifiers.linear import (
 )
 from flowbench.classifiers.neighbors import KNNModel, NearestCentroidModel
 from flowbench.classifiers.tree import DecisionTreeModel, ExtraTreeModel
-
-MODEL_FACTORIES: dict[str, Callable[[int], Classifier]] = {
-    "decision_tree": lambda seed: DecisionTreeModel(),
-    "extra_tree": lambda seed: ExtraTreeModel(seed=seed),
-    "bagging": lambda seed: BaggingModel(seed=seed),
-    "random_forest": lambda seed: RandomForestModel(seed=seed),
-    "extra_trees": lambda seed: ExtraTreesModel(seed=seed),
-    "knn": lambda seed: KNNModel(),
-    "gaussian_nb": lambda seed: GaussianNBModel(),
-    "bernoulli_nb": lambda seed: BernoulliNBModel(),
-    "nearest_centroid": lambda seed: NearestCentroidModel(),
-    "ridge": lambda seed: RidgeModel(),
-    "linear_svm_sgd": lambda seed: LinearSVMModel(seed=seed),
-    "logistic_regression": lambda seed: LogisticRegressionModel(seed=seed),
-    "perceptron": lambda seed: PerceptronModel(seed=seed),
-    "dummy": lambda seed: DummyModel(),
-}
-
-MODEL_NAMES = list(MODEL_FACTORIES)
 
 MODEL_CLASSES: dict[str, type[Classifier]] = {
     cls.name: cls
@@ -61,10 +42,18 @@ MODEL_CLASSES: dict[str, type[Classifier]] = {
 }
 
 
+MODEL_NAMES = list(MODEL_CLASSES)
+
+
 def make_model(name: str, seed: int = 0) -> Classifier:
-    """Instantiate a portfolio model by registry name with default parameters."""
+    """Instantiate a portfolio model by registry name with default parameters.
+
+    `seed` goes to the constructor only if it takes one.
+    """
     try:
-        factory = MODEL_FACTORIES[name]
+        cls = MODEL_CLASSES[name]
     except KeyError:
         raise ValueError(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}") from None
-    return factory(seed)
+    if "seed" in inspect.signature(cls).parameters:
+        return cls(seed=seed)
+    return cls()

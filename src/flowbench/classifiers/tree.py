@@ -275,14 +275,6 @@ class DecisionTreeModel(Classifier):
         self.min_impurity_decrease = min_impurity_decrease
         self.tree_: TreeNode | None = None
 
-    @property
-    def hyperparameters(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_impurity_decrease": self.min_impurity_decrease,
-        }
-
     def _fit(self, X, codes):
         self.tree_ = build_tree(
             X,
@@ -322,15 +314,6 @@ class ExtraTreeModel(Classifier):
         self.min_impurity_decrease = min_impurity_decrease
         self.seed = seed
         self.tree_: TreeNode | None = None
-
-    @property
-    def hyperparameters(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_impurity_decrease": self.min_impurity_decrease,
-            "seed": self.seed,
-        }
 
     def _fit(self, X, codes):
         self.tree_ = build_tree(

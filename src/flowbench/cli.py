@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from flowbench.bench import BenchOptions, render, resolve_model_names, run_benchmark
@@ -21,12 +20,7 @@ from flowbench.classifiers import (
     make_model,
     save_model,
 )
-from flowbench.features import (
-    encode_records,
-    fit_transform,
-    k_folds,
-    stratified_split,
-)
+from flowbench.features import encode_records, fit_transform, stratified_split
 from flowbench.flow_data import (
     RowError,
     SchemaError,
@@ -35,7 +29,13 @@ from flowbench.flow_data import (
     records_to_csv,
     summarize,
 )
-from flowbench.metrics import correlation_to_csv, pearson_matrix, roc_curves, roc_to_csv
+from flowbench.metrics import (
+    correlation_to_csv,
+    fit_and_score,
+    pearson_matrix,
+    roc_curves,
+    roc_to_csv,
+)
 from flowbench.synth import generate_records
 
 EXIT_OK = 0
@@ -44,21 +44,6 @@ EXIT_DATA = 2
 EXIT_MODEL = 3
 
 _CLASS_TOKENS = [cls.token for cls in ThreatClass]
-
-
-@dataclass
-class RunConfig:
-    """Validated flag bundle shared by the data-driven subcommands."""
-
-    data: str
-    seed: int
-    test_fraction: float
-    folds: int
-    models: list[str]
-    scale: bool
-    output: str | None
-    format: str
-    workers: int = 1
 
 
 class _UsageError(Exception):
@@ -88,8 +73,6 @@ def build_parser() -> _Parser:
     def add_split(p):
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--test-fraction", type=float, default=0.2)
-        p.add_argument("--folds", type=int, default=0, help="0 = holdout only")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--no-scale", action="store_true", help="skip z-score scaling")
 
     def add_output(p, formats):
@@ -109,6 +92,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="train and rank the model portfolio")
     add_data(p)
     add_split(p)
+    p.add_argument("--folds", type=int, default=0, help="0 = holdout only")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--models", default="all", help="comma-separated names or 'all'")
     add_output(p, ["table", "csv", "json"])
     p.set_defaults(handler=_cmd_bench)
@@ -168,36 +153,27 @@ def _load_records(path):
     return parse_dataset(path)
 
 
-def _run_config(args) -> RunConfig:
-    if not 0.0 < args.test_fraction < 1.0:
-        raise _UsageError("--test-fraction must be in (0, 1)")
-    if args.folds != 0 and args.folds < 2:
-        raise _UsageError("--folds must be 0 or at least 2")
-    if args.workers < 1:
-        raise _UsageError("--workers must be at least 1")
-    models_arg = getattr(args, "models", "all")
-    if models_arg == "all":
-        models = resolve_model_names("all")
-    else:
-        try:
-            models = resolve_model_names(
-                [m.strip() for m in models_arg.split(",") if m.strip()]
-            )
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        if not models:
-            raise _UsageError("--models must name at least one model")
-    return RunConfig(
-        data=args.data,
+def _bench_options(args, requested) -> tuple[BenchOptions, list[str]]:
+    """Validate the split flags and the requested model names of bench and roc."""
+    options = BenchOptions(
         seed=args.seed,
         test_fraction=args.test_fraction,
-        folds=args.folds,
-        models=models,
-        scale=not args.no_scale,
-        output=args.output,
-        format=getattr(args, "format", "table"),
-        workers=args.workers,
+        folds=getattr(args, "folds", 0),  # roc takes neither --folds nor --workers
+        workers=getattr(args, "workers", 1),
     )
+    if not 0.0 < options.test_fraction < 1.0:
+        raise _UsageError("--test-fraction must be in (0, 1)")
+    if options.folds != 0 and options.folds < 2:
+        raise _UsageError("--folds must be 0 or at least 2")
+    if options.workers < 1:
+        raise _UsageError("--workers must be at least 1")
+    try:
+        models = resolve_model_names(requested)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    if not models:
+        raise _UsageError("--models must name at least one model")
+    return options, models
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -238,36 +214,30 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _run_config(args)
-    records = _load_records(config.data)
-    matrix = fit_transform(records, scale=config.scale)
-    plan = stratified_split(matrix.labels, config.test_fraction, config.seed)
-    if config.folds >= 2:
-        plan.fold_assignment = k_folds(matrix.labels, config.folds, config.seed)
-    options = BenchOptions(
-        seed=config.seed,
-        test_fraction=config.test_fraction,
-        folds=config.folds,
-        workers=config.workers,
-    )
-    leaderboard = run_benchmark(matrix, plan, config.models, options)
-    _emit(render(leaderboard, config.format), config.output)
+    requested = args.models
+    if requested != "all":
+        requested = [m.strip() for m in requested.split(",") if m.strip()]
+    options, models = _bench_options(args, requested)
+    records = _load_records(args.data)
+    matrix = fit_transform(records, scale=not args.no_scale)
+    plan = stratified_split(matrix.labels, options.test_fraction, options.seed)
+    leaderboard = run_benchmark(matrix, plan, models, options)
+    _emit(render(leaderboard, args.format), args.output)
     return EXIT_OK
 
 
 def _cmd_roc(args) -> int:
-    config = _run_config(args)
-    records = _load_records(config.data)
-    matrix = fit_transform(records, scale=config.scale)
-    plan = stratified_split(matrix.labels, config.test_fraction, config.seed)
+    options, (name,) = _bench_options(args, [args.model])
+    records = _load_records(args.data)
+    matrix = fit_transform(records, scale=not args.no_scale)
+    plan = stratified_split(matrix.labels, options.test_fraction, options.seed)
     try:
-        model = make_model(args.model, seed=config.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    rows = matrix.rows_for(model)
-    try:
-        model.fit(rows[plan.train_indices], matrix.labels[plan.train_indices])
-        scores = model.predict_scores(rows[plan.test_indices])
+        _, scores, _, _ = fit_and_score(
+            lambda: make_model(name, seed=options.seed),
+            matrix,
+            plan.train_indices,
+            plan.test_indices,
+        )
     except Exception as exc:
         raise _ModelError(str(exc)) from exc
     curve = roc_curves(matrix.labels[plan.test_indices], scores)

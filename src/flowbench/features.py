@@ -76,7 +76,6 @@ class FeatureMatrix:
 class SplitPlan:
     """Deterministic holdout partition, optionally carrying a k-fold assignment."""
 
-    seed: int
     train_indices: np.ndarray
     test_indices: np.ndarray
     fold_assignment: np.ndarray | None = None
@@ -93,19 +92,10 @@ def fit_transform(records: Sequence[FlowRecord], scale: bool = False) -> Feature
     if not records:
         raise ValueError("fit_transform requires at least one record")
     encoders: dict[str, dict[str, int]] = {}
-    columns = []
-    for name in FEATURE_COLUMNS:
-        raw = [getattr(r, COLUMN_FIELDS[name]) for r in records]
-        if name in CATEGORICAL_COLUMNS:
-            vocabulary = sorted(set(raw))
-            codes = {value: rank for rank, value in enumerate(vocabulary)}
-            encoders[name] = codes
-            columns.append(
-                np.fromiter((codes[v] for v in raw), dtype=np.float64, count=len(raw))
-            )
-        else:
-            columns.append(np.asarray(raw, dtype=np.float64))
-    encoded = np.column_stack(columns)
+    for name in CATEGORICAL_COLUMNS:
+        vocabulary = sorted({getattr(r, COLUMN_FIELDS[name]) for r in records})
+        encoders[name] = {value: rank for rank, value in enumerate(vocabulary)}
+    encoded = encode_records(records, encoders)
     labels = np.fromiter(
         (int(r.prediction) for r in records), dtype=np.int64, count=len(records)
     )
@@ -177,7 +167,6 @@ def stratified_split(labels, test_fraction: float, seed: int) -> SplitPlan:
         test_parts.append(permuted[:take])
         train_parts.append(permuted[take:])
     return SplitPlan(
-        seed=seed,
         train_indices=np.sort(np.concatenate(train_parts)),
         test_indices=np.sort(np.concatenate(test_parts)),
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -178,6 +179,24 @@ def roc_curves(y_true, scores: np.ndarray) -> RocCurve:
     )
 
 
+def fit_and_score(
+    model_factory: Callable[[], object], matrix: FeatureMatrix, train, test
+):
+    """Fit a fresh model on the `train` rows and score the `test` rows.
+
+    Both index sets select from `matrix.rows_for(model)`. Returns the fitted
+    model, its raw scores (one column per class seen in fit), the predicted
+    labels and the seconds spent fitting and scoring.
+    """
+    model = model_factory()
+    rows = matrix.rows_for(model)
+    started = time.perf_counter()
+    model.fit(rows[train], matrix.labels[train])
+    scores = model.predict_scores(rows[test])
+    predicted = model.labels_from_scores(scores)
+    return model, scores, predicted, time.perf_counter() - started
+
+
 def cv_evaluate(
     model_factory: Callable[[], object],
     matrix: FeatureMatrix,
@@ -189,12 +208,9 @@ def cv_evaluate(
     k = int(folds.max()) + 1
     errors = []
     for j in range(k):
-        model = model_factory()
-        rows = matrix.rows_for(model)
         held_out = folds == j
         try:
-            model.fit(rows[~held_out], matrix.labels[~held_out])
-            predicted = model.predict(rows[held_out])
+            _, _, predicted, _ = fit_and_score(model_factory, matrix, ~held_out, held_out)
         except Exception as exc:
             raise RuntimeError(f"fold {j}: {exc}") from exc
         errors.append(float(error_fn(matrix.labels[held_out], predicted)))

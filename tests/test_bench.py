@@ -6,6 +6,7 @@ import pytest
 
 from flowbench.bench import (
     BenchOptions,
+    EvalReport,
     Leaderboard,
     leaderboard_from_json,
     render,
@@ -14,7 +15,7 @@ from flowbench.bench import (
 )
 from flowbench.classifiers import ExtraTreeModel, RandomForestModel
 from flowbench.features import FeatureMatrix, fit_transform, stratified_split
-from flowbench.metrics import accuracy, balanced_accuracy, confusion, f1
+from flowbench.metrics import CVResult, accuracy, balanced_accuracy, confusion, f1
 from flowbench.synth import generate_records
 
 FAST_MODELS = ["decision_tree", "extra_tree", "knn", "gaussian_nb", "dummy"]
@@ -117,6 +118,19 @@ def test_model_failure_becomes_error_row():
     assert leaderboard.reports[-1].model == "knn"  # error rows sink to the bottom
 
 
+def test_cv_fold_failure_becomes_error_row():
+    # knn (k=5) fits the 5-row holdout train split but not a 4-row CV fold.
+    labels = np.array([0, 0, 1, 1, 2, 2, 2, 2])
+    matrix = _matrix(np.arange(16, dtype=float).reshape(8, 2), labels)
+    plan = stratified_split(labels, 0.1, 42)
+    leaderboard = run_benchmark(matrix, plan, ["knn", "dummy"], BenchOptions(folds=2))
+    by_name = {r.model: r for r in leaderboard.reports}
+    assert by_name["knn"].status.startswith("error: fold")
+    assert by_name["knn"].accuracy is None and by_name["knn"].cv is None
+    assert by_name["dummy"].status == "ok"
+    assert by_name["dummy"].cv.k == 2
+
+
 def test_benchmark_deterministic_across_runs_and_workers(bench_setup):
     matrix, plan = bench_setup
 
@@ -216,3 +230,114 @@ def test_extra_tree_fits_faster_than_random_forest():
     single = median_fit_seconds(lambda: ExtraTreeModel(seed=0))
     forest = median_fit_seconds(lambda: RandomForestModel(n_trees=100, seed=0))
     assert single < forest
+
+
+def _golden_leaderboard():
+    return Leaderboard(
+        reports=[
+            EvalReport(
+                model="random_forest",
+                accuracy=0.9375,
+                balanced_accuracy=0.9166666666666666,
+                roc_auc_macro=0.98,
+                f1_weighted=0.9371428571428572,
+                f1_macro=0.9,
+                time_taken_s=12.345,
+                confusion=[[5, 0, 0], [1, 4, 0], [0, 0, 6]],
+                cv=CVResult(k=3, fold_errors=[0.1, 0.05, 0.0], cv_error=0.05),
+            ),
+            EvalReport(
+                model="dummy",
+                accuracy=0.375,
+                balanced_accuracy=1 / 3,
+                roc_auc_macro=0.5,
+                f1_weighted=0.20454545454545456,
+                f1_macro=0.18181818181818182,
+                time_taken_s=0.0001,
+                confusion=[[0, 0, 5], [0, 0, 5], [0, 0, 6]],
+            ),
+            EvalReport(
+                model="knn", status="error: fold 1: k=5 exceeds the training size (4)"
+            ),
+        ],
+        metadata={
+            "seed": 42,
+            "test_fraction": 0.2,
+            "folds": 3,
+            "fingerprint": {"rows": 16, "column_hash": "0123456789abcdef"},
+            "roc_auc_averaging": "macro one-vs-rest",
+            "table_f1_averaging": "weighted",
+        },
+    )
+
+
+def test_render_table_golden():
+    assert render(_golden_leaderboard(), "table") == (
+        "Model                                                  Accuracy"
+        "  Balanced Accuracy  ROC AUC  F1 Score  Time Taken\n"
+        "random_forest                                              0.94"
+        "               0.92     0.98      0.94       12.35\n"
+        "dummy                                                      0.38"
+        "               0.33     0.50      0.20        0.00\n"
+        "knn            error: fold 1: k=5 exceeds the training size (4)"
+        "                                                  \n"
+    )
+
+
+def test_render_csv_golden():
+    assert render(_golden_leaderboard(), "csv") == (
+        "model,status,accuracy,balanced_accuracy,roc_auc_macro,f1_weighted,"
+        "f1_macro,time_taken_s,cv_error\n"
+        "random_forest,ok,0.9375,0.9166666666666666,0.98,0.9371428571428572,"
+        "0.9,12.345,0.05\n"
+        "dummy,ok,0.375,0.3333333333333333,0.5,0.20454545454545456,"
+        "0.18181818181818182,0.0001,\n"
+        "knn,error: fold 1: k=5 exceeds the training size (4),,,,,,,\n"
+    )
+
+
+def test_render_json_golden():
+    # json.dumps of this literal pins the key order as well as the values.
+    expected = {
+        "schema_version": 1,
+        "metadata": _golden_leaderboard().metadata,
+        "reports": [
+            {
+                "model": "random_forest",
+                "status": "ok",
+                "accuracy": 0.9375,
+                "balanced_accuracy": 0.9166666666666666,
+                "roc_auc_macro": 0.98,
+                "f1_weighted": 0.9371428571428572,
+                "f1_macro": 0.9,
+                "time_taken_s": 12.345,
+                "confusion": [[5, 0, 0], [1, 4, 0], [0, 0, 6]],
+                "cv": {"k": 3, "fold_errors": [0.1, 0.05, 0.0], "cv_error": 0.05},
+            },
+            {
+                "model": "dummy",
+                "status": "ok",
+                "accuracy": 0.375,
+                "balanced_accuracy": 0.3333333333333333,
+                "roc_auc_macro": 0.5,
+                "f1_weighted": 0.20454545454545456,
+                "f1_macro": 0.18181818181818182,
+                "time_taken_s": 0.0001,
+                "confusion": [[0, 0, 5], [0, 0, 5], [0, 0, 6]],
+            },
+            {
+                "model": "knn",
+                "status": "error: fold 1: k=5 exceeds the training size (4)",
+                "accuracy": None,
+                "balanced_accuracy": None,
+                "roc_auc_macro": None,
+                "f1_weighted": None,
+                "f1_macro": None,
+                "time_taken_s": None,
+                "confusion": None,
+            },
+        ],
+    }
+    text = render(_golden_leaderboard(), "json")
+    assert text == json.dumps(expected, indent=2)
+    assert leaderboard_from_json(text) == _golden_leaderboard()

@@ -98,3 +98,31 @@ def test_models_handle_two_class_subproblems():
         model.fit(X, y)
         predicted = model.predict(probe)
         assert set(predicted.tolist()) <= {0, 1}
+
+
+_TREE_DEFAULTS = {"max_depth": None, "min_samples_split": 2, "min_impurity_decrease": 0.0}
+_SGD_DEFAULTS = {"max_epochs": 1000, "learning_rate": 0.01, "l2": 0.0001, "tol": 1e-06}
+_ENSEMBLE = {"n_trees": 100, **_TREE_DEFAULTS}
+EXPECTED_HYPERPARAMETERS = {
+    "decision_tree": _TREE_DEFAULTS,
+    "extra_tree": {**_TREE_DEFAULTS, "seed": 3},
+    "bagging": {**_ENSEMBLE, "bootstrap": True, "max_features": "all", "seed": 3},
+    "random_forest": {**_ENSEMBLE, "bootstrap": True, "max_features": "sqrt", "seed": 3},
+    "extra_trees": {**_ENSEMBLE, "bootstrap": False, "max_features": "sqrt", "seed": 3},
+    "knn": {"k": 5},
+    "gaussian_nb": {"var_smoothing": 1e-09},
+    "bernoulli_nb": {"alpha": 1.0},
+    "nearest_centroid": {},
+    "ridge": {"lam": 1.0},
+    "linear_svm_sgd": {**_SGD_DEFAULTS, "seed": 3},
+    "logistic_regression": {**_SGD_DEFAULTS, "seed": 3},
+    "perceptron": {**_SGD_DEFAULTS, "seed": 3},
+    "dummy": {},
+}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_hyperparameters_of_each_default_model(name):
+    # Items, not the dict, so the key order model files are written in is pinned too.
+    expected = EXPECTED_HYPERPARAMETERS[name]
+    assert list(make_model(name, seed=3).hyperparameters.items()) == list(expected.items())

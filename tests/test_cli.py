@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from flowbench.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
-from flowbench.flow_data import parse_dataset
+from flowbench.flow_data import parse_dataset, records_to_csv
+from flowbench.synth import generate_records
 
 
 @pytest.fixture
@@ -115,6 +116,23 @@ def test_bench_with_folds_reports_cv(synth_csv, capsys):
     assert doc["reports"][0]["cv"]["k"] == 3
 
 
+def test_bench_cv_fold_failure_is_an_error_row(tmp_path, capsys):
+    # Class counts [2, 2, 4]: knn (k=5) fits the 5-row holdout train split
+    # but not the 4-row training side of a 2-fold split.
+    records = generate_records(60, seed=5, signal_strength=0.9)
+    picked = [r for c, n in ((0, 2), (1, 2), (2, 4))
+              for r in [r for r in records if int(r.prediction) == c][:n]]
+    assert [int(r.prediction) for r in picked] == [0, 0, 1, 1, 2, 2, 2, 2]
+    path = tmp_path / "tiny.csv"
+    path.write_text(records_to_csv(picked))
+    code = main(["bench", "--data", str(path), "--folds", "2", "--test-fraction",
+                 "0.1", "--models", "knn,dummy", "--format", "json"])
+    assert code == EXIT_OK
+    by_name = {r["model"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+    assert by_name["knn"]["status"].startswith("error: fold")
+    assert by_name["dummy"]["status"] == "ok"
+
+
 def test_correlate_emits_pair_csv(synth_csv, capsys):
     assert main(["correlate", "--data", str(synth_csv)]) == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
@@ -132,6 +150,12 @@ def test_roc_emits_curve_points(synth_csv, capsys):
     assert lines[0] == "class,auc,threshold,fpr,tpr"
     classes = {line.split(",")[0] for line in lines[1:]}
     assert classes == {"A", "S", "SS"}
+
+
+def test_roc_rejects_bench_only_flags(synth_csv):
+    argv = ["roc", "--data", str(synth_csv), "--model", "gaussian_nb"]
+    assert main(argv + ["--workers", "2"]) == EXIT_USAGE
+    assert main(argv + ["--folds", "3"]) == EXIT_USAGE
 
 
 def test_train_then_predict_round_trip(synth_csv, tmp_path, capsys):

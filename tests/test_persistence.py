@@ -84,3 +84,46 @@ def test_scaler_round_trips(trained_setup, tmp_path):
     artifact = load_model(path)
     np.testing.assert_array_equal(artifact.scaler.mean, matrix.scaler.mean)
     np.testing.assert_array_equal(artifact.scaler.std, matrix.scaler.std)
+
+
+def test_model_file_with_stored_feature_masks_still_loads(tmp_path):
+    # Earlier writers of format 1 also saved each ensemble's feature masks.
+    leaf = {"dist": [1.0, 0.0]}
+    document = {
+        "format_version": 1,
+        "model": "random_forest",
+        "hyperparameters": {
+            "n_trees": 2,
+            "max_depth": None,
+            "min_samples_split": 2,
+            "min_impurity_decrease": 0.0,
+            "bootstrap": True,
+            "max_features": "sqrt",
+            "seed": 0,
+        },
+        "state": {
+            "classes": [0, 1],
+            "n_features": 2,
+            "trees": [
+                {"feature": 1, "threshold": 0.5, "left": leaf,
+                 "right": {"dist": [0.0, 1.0]}},
+                leaf,
+            ],
+            "feature_masks": [[False, True], [False, False]],
+        },
+        "encoders": {},
+        "scaler": None,
+        "column_names": ["a", "b"],
+    }
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(document))
+    artifact = load_model(path)
+    assert artifact.model.feature_masks_ == [[False, True], [False, False]]
+    np.testing.assert_array_equal(
+        artifact.model.predict_scores([[0.0, 0.0], [0.0, 1.0]]),
+        [[1.0, 0.0], [0.5, 0.5]],
+    )
+    resaved = tmp_path / "new.json"
+    save_model(resaved, artifact.model, encoders={}, scaler=None,
+               column_names=["a", "b"])
+    assert "feature_masks" not in json.loads(resaved.read_text())["state"]

@@ -160,6 +160,9 @@ def resolve_model_names(model_names) -> list[str]:
     unknown = [n for n in names if n not in MODEL_NAMES]
     if unknown:
         raise ValueError(f"unknown model name(s): {', '.join(unknown)}")
+    duplicates = dict.fromkeys(n for n in names if names.count(n) > 1)
+    if duplicates:
+        raise ValueError(f"duplicate model name(s): {', '.join(duplicates)}")
     return names
 
 

@@ -22,10 +22,15 @@ class Classifier:
 
     name: str = ""
     needs_scaling: bool = False
+    # Fitted array attributes; the default _state/_load_state save each one
+    # under its name without the trailing underscore.
+    _fitted: tuple[str, ...] = ()
 
     def __init__(self):
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
+        for attr in self._fitted:
+            setattr(self, attr, None)
 
     def fit(self, X, y) -> "Classifier":
         X = np.asarray(X, dtype=np.float64)
@@ -36,9 +41,9 @@ class Classifier:
             raise ValueError("y length must match X row count")
         if X.shape[0] == 0:
             raise ValueError("fit requires at least one row")
-        self.classes_ = np.unique(y)
+        self.classes_, codes = np.unique(y, return_inverse=True)
         self.n_features_ = X.shape[1]
-        self._fit(X, np.searchsorted(self.classes_, y))
+        self._fit(X, codes)
         return self
 
     def predict_scores(self, X) -> np.ndarray:
@@ -84,10 +89,14 @@ class Classifier:
         raise NotImplementedError
 
     def _state(self) -> dict:
-        raise NotImplementedError
+        return {a.removesuffix("_"): getattr(self, a).tolist() for a in self._fitted}
 
     def _load_state(self, state: dict) -> None:
-        raise NotImplementedError
+        for attr in self._fitted:
+            values = np.asarray(state[attr.removesuffix("_")])
+            # JSON keeps ints and floats apart; every fit yields int64 or float64.
+            dtype = np.int64 if values.dtype.kind == "i" else np.float64
+            setattr(self, attr, values.astype(dtype, copy=False))
 
     # helpers -----------------------------------------------------------------
     def _require_fitted(self) -> None:

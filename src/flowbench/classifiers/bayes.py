@@ -18,13 +18,11 @@ class GaussianNBModel(Classifier):
 
     name = "gaussian_nb"
     needs_scaling = True
+    _fitted = ("means_", "variances_", "log_priors_")
 
     def __init__(self, var_smoothing: float = 1e-9):
         super().__init__()
         self.var_smoothing = var_smoothing
-        self.means_: np.ndarray | None = None
-        self.variances_: np.ndarray | None = None
-        self.log_priors_: np.ndarray | None = None
 
     def _fit(self, X, codes):
         k = self.classes_.size
@@ -51,31 +49,17 @@ class GaussianNBModel(Classifier):
             log_posterior[:, c] = self.log_priors_[c] + loglik
         return _softmax_rows(log_posterior)
 
-    def _state(self):
-        return {
-            "means": self.means_.tolist(),
-            "variances": self.variances_.tolist(),
-            "log_priors": self.log_priors_.tolist(),
-        }
-
-    def _load_state(self, state):
-        self.means_ = np.asarray(state["means"], dtype=np.float64)
-        self.variances_ = np.asarray(state["variances"], dtype=np.float64)
-        self.log_priors_ = np.asarray(state["log_priors"], dtype=np.float64)
-
 
 class BernoulliNBModel(Classifier):
     """Features binarized at zero; Laplace-smoothed per-class activation rates."""
 
     name = "bernoulli_nb"
     needs_scaling = True
+    _fitted = ("log_rates_", "log_complements_", "log_priors_")
 
     def __init__(self, alpha: float = 1.0):
         super().__init__()
         self.alpha = alpha
-        self.log_rates_: np.ndarray | None = None
-        self.log_complements_: np.ndarray | None = None
-        self.log_priors_: np.ndarray | None = None
 
     def _fit(self, X, codes):
         k = self.classes_.size
@@ -98,15 +82,3 @@ class BernoulliNBModel(Classifier):
             + self.log_priors_
         )
         return _softmax_rows(log_posterior)
-
-    def _state(self):
-        return {
-            "log_rates": self.log_rates_.tolist(),
-            "log_complements": self.log_complements_.tolist(),
-            "log_priors": self.log_priors_.tolist(),
-        }
-
-    def _load_state(self, state):
-        self.log_rates_ = np.asarray(state["log_rates"], dtype=np.float64)
-        self.log_complements_ = np.asarray(state["log_complements"], dtype=np.float64)
-        self.log_priors_ = np.asarray(state["log_priors"], dtype=np.float64)

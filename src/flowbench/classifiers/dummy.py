@@ -14,10 +14,7 @@ class DummyModel(Classifier):
     """
 
     name = "dummy"
-
-    def __init__(self):
-        super().__init__()
-        self.prior_: np.ndarray | None = None
+    _fitted = ("prior_",)
 
     def _fit(self, X, codes):
         counts = np.bincount(codes, minlength=self.classes_.size)
@@ -25,9 +22,3 @@ class DummyModel(Classifier):
 
     def _scores(self, X):
         return np.tile(self.prior_, (X.shape[0], 1))
-
-    def _state(self):
-        return {"prior": self.prior_.tolist()}
-
-    def _load_state(self, state):
-        self.prior_ = np.asarray(state["prior"], dtype=np.float64)

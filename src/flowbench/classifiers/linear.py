@@ -32,8 +32,21 @@ def margin(model, class_code: int) -> float:
     return 2.0 / norm
 
 
-class _SGDBase(Classifier):
+class _LinearModel(Classifier):
+    """One weight row and one bias per class; scores are X @ W.T + b."""
+
     needs_scaling = True
+    _fitted = ("weights_", "bias_")
+
+    def _scores(self, X):
+        return X @ self.weights_.T + self.bias_
+
+    def _targets(self, codes: np.ndarray) -> np.ndarray:
+        """One-vs-rest targets: +1 in the column of each row's class, -1 elsewhere."""
+        return np.where(codes[:, None] == np.arange(self.classes_.size), 1.0, -1.0)
+
+
+class _SGDBase(_LinearModel):
     _loss: str
 
     def __init__(
@@ -50,15 +63,13 @@ class _SGDBase(Classifier):
         self.l2 = l2
         self.tol = tol
         self.seed = seed
-        self.weights_: np.ndarray | None = None
-        self.bias_: np.ndarray | None = None
 
     def _fit(self, X, codes):
         if not np.isfinite(X).all():
             raise ValueError("non-finite feature values")
         n, d = X.shape
         k = self.classes_.size
-        targets = np.where(codes[:, None] == np.arange(k)[None, :], 1.0, -1.0)
+        targets = self._targets(codes)
         W = np.zeros((k, d), dtype=np.float64)
         b = np.zeros(k, dtype=np.float64)
         rng = np.random.default_rng(self.seed)
@@ -109,16 +120,6 @@ class _SGDBase(Classifier):
             return float(data + 0.5 * self.l2 * np.sum(W * W))
         return float(np.maximum(0.0, -margins).sum() / n)
 
-    def _scores(self, X):
-        return X @ self.weights_.T + self.bias_
-
-    def _state(self):
-        return {"weights": self.weights_.tolist(), "bias": self.bias_.tolist()}
-
-    def _load_state(self, state):
-        self.weights_ = np.asarray(state["weights"], dtype=np.float64)
-        self.bias_ = np.asarray(state["bias"], dtype=np.float64)
-
 
 class LinearSVMModel(_SGDBase):
     """Linear SVM: hinge loss plus L2, trained by per-sample SGD."""
@@ -145,24 +146,20 @@ class PerceptronModel(_SGDBase):
     _loss = "perceptron"
 
 
-class RidgeModel(Classifier):
+class RidgeModel(_LinearModel):
     """Regularized least squares on +/-1 one-vs-rest targets, solved exactly."""
 
     name = "ridge"
-    needs_scaling = True
 
     def __init__(self, lam: float = 1.0):
         super().__init__()
         if lam < 0:
             raise ValueError("lam must be non-negative")
         self.lam = lam
-        self.weights_: np.ndarray | None = None
-        self.bias_: np.ndarray | None = None
 
     def _fit(self, X, codes):
-        n, d = X.shape
-        k = self.classes_.size
-        targets = np.where(codes[:, None] == np.arange(k)[None, :], 1.0, -1.0)
+        d = X.shape[1]
+        targets = self._targets(codes)
         system = X.T @ X + self.lam * np.eye(d)
         rhs = X.T @ targets
         try:
@@ -175,13 +172,3 @@ class RidgeModel(Classifier):
             raise ValueError("normal equations are singular at this lam; use lam > 0")
         self.weights_ = solution.T
         self.bias_ = targets.mean(axis=0) - X.mean(axis=0) @ solution
-
-    def _scores(self, X):
-        return X @ self.weights_.T + self.bias_
-
-    def _state(self):
-        return {"weights": self.weights_.tolist(), "bias": self.bias_.tolist()}
-
-    def _load_state(self, state):
-        self.weights_ = np.asarray(state["weights"], dtype=np.float64)
-        self.bias_ = np.asarray(state["bias"], dtype=np.float64)

@@ -18,14 +18,13 @@ class KNNModel(Classifier):
 
     name = "knn"
     needs_scaling = True
+    _fitted = ("train_rows_", "train_codes_")
 
     def __init__(self, k: int = 5):
         super().__init__()
         if k < 1:
             raise ValueError("k must be at least 1")
         self.k = k
-        self.train_rows_: np.ndarray | None = None
-        self.train_codes_: np.ndarray | None = None
         self._neighbor_basis: np.ndarray | None = None
 
     def _fit(self, X, codes):
@@ -63,16 +62,8 @@ class KNNModel(Classifier):
             out[start : start + _CHUNK] = counts / self.k
         return out
 
-    def _state(self):
-        return {
-            "train_rows": self.train_rows_.tolist(),
-            "train_codes": self.train_codes_.tolist(),
-            "k": self.k,
-        }
-
     def _load_state(self, state):
-        self.train_rows_ = np.asarray(state["train_rows"], dtype=np.float64)
-        self.train_codes_ = np.asarray(state["train_codes"], dtype=np.int64)
+        super()._load_state(state)
         self._prepare_lookup()
 
 
@@ -81,10 +72,7 @@ class NearestCentroidModel(Classifier):
 
     name = "nearest_centroid"
     needs_scaling = True
-
-    def __init__(self):
-        super().__init__()
-        self.centroids_: np.ndarray | None = None
+    _fitted = ("centroids_",)
 
     def _fit(self, X, codes):
         self.centroids_ = np.stack(
@@ -94,9 +82,3 @@ class NearestCentroidModel(Classifier):
     def _scores(self, X):
         diff = X[:, None, :] - self.centroids_[None, :, :]
         return -np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-    def _state(self):
-        return {"centroids": self.centroids_.tolist()}
-
-    def _load_state(self, state):
-        self.centroids_ = np.asarray(state["centroids"], dtype=np.float64)

@@ -262,6 +262,7 @@ class DecisionTreeModel(Classifier):
     """Greedy CART classifier with exhaustive Gini split search."""
 
     name = "decision_tree"
+    _splitter = "best"
 
     def __init__(
         self,
@@ -275,15 +276,19 @@ class DecisionTreeModel(Classifier):
         self.min_impurity_decrease = min_impurity_decrease
         self.tree_: TreeNode | None = None
 
+    def _rng(self) -> np.random.Generator | None:
+        return None
+
     def _fit(self, X, codes):
         self.tree_ = build_tree(
             X,
             codes,
             self.classes_.size,
-            splitter="best",
+            splitter=self._splitter,
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_impurity_decrease=self.min_impurity_decrease,
+            rng=self._rng(),
         )
 
     def _scores(self, X):
@@ -296,10 +301,11 @@ class DecisionTreeModel(Classifier):
         self.tree_ = TreeNode.from_dict(state["tree"])
 
 
-class ExtraTreeModel(Classifier):
+class ExtraTreeModel(DecisionTreeModel):
     """Single extremely randomized tree: one uniform threshold per feature."""
 
     name = "extra_tree"
+    _splitter = "random"
 
     def __init__(
         self,
@@ -308,30 +314,8 @@ class ExtraTreeModel(Classifier):
         min_impurity_decrease: float = 0.0,
         seed: int = 0,
     ):
-        super().__init__()
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_impurity_decrease = min_impurity_decrease
+        super().__init__(max_depth, min_samples_split, min_impurity_decrease)
         self.seed = seed
-        self.tree_: TreeNode | None = None
 
-    def _fit(self, X, codes):
-        self.tree_ = build_tree(
-            X,
-            codes,
-            self.classes_.size,
-            splitter="random",
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_impurity_decrease=self.min_impurity_decrease,
-            rng=np.random.default_rng(self.seed),
-        )
-
-    def _scores(self, X):
-        return tree_scores(self.tree_, X, self.classes_.size)
-
-    def _state(self):
-        return {"tree": self.tree_.to_dict()}
-
-    def _load_state(self, state):
-        self.tree_ = TreeNode.from_dict(state["tree"])
+    def _rng(self):
+        return np.random.default_rng(self.seed)

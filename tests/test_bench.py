@@ -68,6 +68,12 @@ def test_empty_model_set_rejected(bench_setup):
         run_benchmark(matrix, plan, ["nope"], BenchOptions())
 
 
+def test_duplicate_model_names_rejected(bench_setup):
+    matrix, plan = bench_setup
+    with pytest.raises(ValueError, match=r"^duplicate model name\(s\): dummy$"):
+        run_benchmark(matrix, plan, ["dummy", "knn", "dummy"], BenchOptions())
+
+
 def test_leaderboard_is_sorted_by_the_rule(bench_setup):
     matrix, plan = bench_setup
     leaderboard = run_benchmark(matrix, plan, FAST_MODELS, BenchOptions(seed=42))

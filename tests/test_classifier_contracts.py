@@ -1,5 +1,10 @@
 """Interface properties every portfolio model must satisfy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,3 +131,23 @@ def test_hyperparameters_of_each_default_model(name):
     # Items, not the dict, so the key order model files are written in is pinned too.
     expected = EXPECTED_HYPERPARAMETERS[name]
     assert list(make_model(name, seed=3).hyperparameters.items()) == list(expected.items())
+
+
+def test_first_fit_imports_no_numpy_ma():
+    # Plain np.unique imports numpy.ma on its first call in numpy 2.x, which
+    # charged the import to the Time Taken of whichever model fit first.
+    code = (
+        "import sys\n"
+        "from flowbench.classifiers import DummyModel\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "DummyModel().fit([[0.0], [1.0], [2.0]], [3, 1, 3])\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    before, after = proc.stdout.split()
+    assert after == before

@@ -75,6 +75,14 @@ def test_unknown_model_name_is_usage_error(synth_csv):
     assert main(["roc", "--data", str(synth_csv), "--model", "nope"]) == EXIT_USAGE
 
 
+def test_duplicate_model_name_is_usage_error(synth_csv, capsys):
+    argv = ["bench", "--data", str(synth_csv), "--models", "dummy,dummy"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "duplicate model name(s): dummy" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE

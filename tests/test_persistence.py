@@ -53,6 +53,11 @@ def test_round_trip_reproduces_predictions_exactly(name, trained_setup, tmp_path
     np.testing.assert_array_equal(
         model.predict_scores(probe_rows), artifact.model.predict_scores(probe_rows)
     )
+    for attr in model._fitted:
+        before, after = getattr(model, attr), getattr(artifact.model, attr)
+        assert after.dtype == before.dtype, attr
+        assert after.shape == before.shape, attr
+        np.testing.assert_array_equal(after, before)
 
 
 def test_unknown_format_version_rejected(tmp_path):
@@ -127,3 +132,31 @@ def test_model_file_with_stored_feature_masks_still_loads(tmp_path):
     save_model(resaved, artifact.model, encoders={}, scaler=None,
                column_names=["a", "b"])
     assert "feature_masks" not in json.loads(resaved.read_text())["state"]
+
+
+def test_knn_model_file_with_stored_k_still_loads(tmp_path):
+    # Earlier writers of format 1 also saved k in the knn state.
+    document = {
+        "format_version": 1,
+        "model": "knn",
+        "hyperparameters": {"k": 1},
+        "state": {
+            "classes": [0, 2],
+            "n_features": 1,
+            "train_rows": [[0.0], [1.0]],
+            "train_codes": [0, 1],
+            "k": 1,
+        },
+        "encoders": {},
+        "scaler": None,
+        "column_names": ["a"],
+    }
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(document))
+    model = load_model(path).model
+    assert model.k == 1
+    assert model.train_codes_.dtype == np.int64
+    np.testing.assert_array_equal(model.predict([[0.2], [0.9]]), [0, 2])
+    resaved = tmp_path / "new.json"
+    save_model(resaved, model, encoders={}, scaler=None, column_names=["a"])
+    assert "k" not in json.loads(resaved.read_text())["state"]

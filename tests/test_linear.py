@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,9 @@ from flowbench.classifiers import (
     RidgeModel,
     margin,
 )
+from flowbench.classifiers.linear import _sigmoid
+from flowbench.features import fit_transform, stratified_split
+from flowbench.synth import generate_records
 
 SGD_CLASSES = (LinearSVMModel, LogisticRegressionModel, PerceptronModel)
 
@@ -99,6 +105,154 @@ def test_logistic_scores_are_normalized(rng):
     model = LogisticRegressionModel(max_epochs=20, seed=0).fit(X, y)
     scores = model.predict_scores(X)
     np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-9)
+
+
+# blocked SGD kernel against the row-by-row loop ------------------------------
+
+
+def _reference_fit(model, X, y):
+    """The row-by-row SGD loop that the blocked kernel replaced, as an oracle.
+
+    Runs `model`'s hyperparameters on (X, y) without touching the kernel and
+    returns the weights, the biases and the number of epochs run.
+    """
+    model.classes_, codes = np.unique(y, return_inverse=True)
+    n, d = X.shape
+    k = model.classes_.size
+    targets = model._targets(codes)
+    W = np.zeros((k, d), dtype=np.float64)
+    b = np.zeros(k, dtype=np.float64)
+    rng = np.random.default_rng(model.seed)
+    lam = model.l2
+    loss_kind = model._loss
+    step = 0
+    previous = math.inf
+    epochs = 0
+    for _ in range(model.max_epochs):
+        epochs += 1
+        order = rng.permutation(n)
+        rates = model.learning_rate / np.sqrt(np.arange(step + 1, step + n + 1))
+        step += n
+        epoch_rows = X[order]
+        epoch_targets = targets[order]
+        if loss_kind == "hinge":
+            decays = 1.0 - rates * lam
+            for x, t, lr, decay in zip(epoch_rows, epoch_targets, rates, decays):
+                pull = (t * (W @ x + b) < 1.0) * (lr * t)
+                W *= decay
+                W += pull[:, None] * x
+                b += pull
+        elif loss_kind == "log":
+            decays = 1.0 - rates * lam
+            for x, t, lr, decay in zip(epoch_rows, epoch_targets, rates, decays):
+                g = _sigmoid(W @ x + b) - (t + 1.0) / 2.0
+                W *= decay
+                W -= (lr * g)[:, None] * x
+                b -= lr * g
+        else:  # perceptron
+            for x, t, lr in zip(epoch_rows, epoch_targets, rates):
+                pull = (t * (W @ x + b) <= 0.0) * (lr * t)
+                W += pull[:, None] * x
+                b += pull
+        loss = model._objective(X, targets, W, b)
+        if previous - loss < model.tol:
+            break
+        previous = loss
+    return W, b, epochs
+
+
+def _assert_matches_reference(model, W, b):
+    np.testing.assert_allclose(model.weights_, W, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(model.bias_, b, rtol=1e-9, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def portfolio_train_rows():
+    """The training rows of the portfolio-1k benchmark: 1,000 synthetic records
+    (seed 7, signal 0.9), z-scored, minus the default 20% holdout (seed 42)."""
+    records = generate_records(1000, seed=7, signal_strength=0.9)
+    matrix = fit_transform(records, scale=True)
+    plan = stratified_split(matrix.labels, 0.2, 42)
+    return matrix.rows[plan.train_indices], matrix.labels[plan.train_indices]
+
+
+def _small_case(name):
+    rng = np.random.default_rng(3)
+    if name == "n17":  # one full block plus one row
+        return rng.normal(size=(17, 4)), rng.integers(0, 3, size=17)
+    if name == "n1":
+        return rng.normal(size=(1, 3)), np.array([2])
+    if name == "one_class":
+        return rng.normal(size=(20, 3)), np.full(20, 1)
+    X, y = _blobs(rng, n_per_class=15, spread=1.5)  # two overlapping classes
+    return X, y
+
+
+@pytest.mark.parametrize("cls", SGD_CLASSES)
+def test_kernel_matches_reference_on_portfolio_rows(cls, portfolio_train_rows):
+    X, y = portfolio_train_rows
+    model = cls(max_epochs=50).fit(X, y)
+    W, b, _ = _reference_fit(cls(max_epochs=50), X, y)
+    _assert_matches_reference(model, W, b)
+
+
+@pytest.mark.parametrize("case", ["n17", "n1", "one_class", "two_classes"])
+@pytest.mark.parametrize("cls", SGD_CLASSES)
+def test_kernel_matches_reference_on_small_inputs(cls, case):
+    X, y = _small_case(case)
+    model = cls(max_epochs=300, seed=4).fit(X, y)
+    W, b, _ = _reference_fit(cls(max_epochs=300, seed=4), X, y)
+    _assert_matches_reference(model, W, b)
+
+
+@pytest.mark.parametrize("cls", SGD_CLASSES)
+def test_kernel_matches_reference_when_rows_clear_the_margin_under_strong_l2(cls):
+    # Separable classes under strong L2: runs of rows take no step while the
+    # lazy scale shrinks, so their scores come from the scale alone.
+    X, y = _blobs(np.random.default_rng(1), n_per_class=20, spread=0.5)
+    model = cls(l2=5.0, max_epochs=60).fit(X, y)
+    W, b, _ = _reference_fit(cls(l2=5.0, max_epochs=60), X, y)
+    _assert_matches_reference(model, W, b)
+
+
+def test_tol_stops_at_the_reference_epoch(portfolio_train_rows):
+    X, y = portfolio_train_rows
+    _, _, epochs = _reference_fit(LinearSVMModel(tol=1e-2), X, y)
+    assert 1 < epochs < 1000  # the tol stop, not the cap, ended the reference run
+    model = LinearSVMModel(tol=1e-2).fit(X, y)
+    W, b, _ = _reference_fit(LinearSVMModel(max_epochs=epochs, tol=-math.inf), X, y)
+    _assert_matches_reference(model, W, b)
+    # One epoch more or less gives weights the tolerance tells apart.
+    for other in (epochs - 1, epochs + 1):
+        W_other, _, _ = _reference_fit(
+            LinearSVMModel(max_epochs=other, tol=-math.inf), X, y
+        )
+        assert not np.allclose(model.weights_, W_other, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"l2": 100.0},  # the first decay is exactly 0
+        {"l2": 200.0},  # the fourth decay is exactly 0, inside a block
+        {"l2": 150.0},  # the first decays are negative: the scale changes sign
+        {"l2": 0.0},
+        {"max_epochs": 0},
+    ],
+    ids=["l2=100", "l2=200", "l2=150", "l2=0", "max_epochs=0"],
+)
+@pytest.mark.parametrize("cls", SGD_CLASSES)
+def test_edge_hyperparameters_fit_finite_reference_weights(cls, params):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(40, 5))
+    y = rng.integers(0, 3, size=40)
+    params = {"max_epochs": 60, **params}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = cls(**params).fit(X, y)
+        W, b, _ = _reference_fit(cls(**params), X, y)
+    assert np.isfinite(model.weights_).all() and np.isfinite(model.bias_).all()
+    _assert_matches_reference(model, W, b)
 
 
 # ridge -------------------------------------------------------------------------

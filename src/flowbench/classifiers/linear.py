@@ -209,7 +209,12 @@ class LogisticRegressionModel(_SGDBase):
 
 
 class PerceptronModel(_SGDBase):
-    """Classic mistake-driven perceptron updates, one binary problem per class."""
+    """Classic mistake-driven perceptron updates, one binary problem per class.
+
+    `l2` is accepted for the shared SGD signature and ignored: the perceptron
+    has no penalty, so neither its steps nor its objective decay the weights,
+    as scikit-learn's `Perceptron` ignores `alpha` without a penalty.
+    """
 
     name = "perceptron"
     _loss = "perceptron"

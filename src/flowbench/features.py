@@ -3,21 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from flowbench.flow_data import CANONICAL_COLUMNS, COLUMN_FIELDS, FlowRecord
+from flowbench.flow_data import CANONICAL_COLUMNS, FlowRecord
 
-FEATURE_COLUMNS = [c for c in CANONICAL_COLUMNS if c != "Prediction"]
-CATEGORICAL_COLUMNS = (
-    "Protocol",
-    "Flag",
-    "Family",
-    "SeedAddress",
-    "ExpAddress",
-    "IPaddress",
-    "Threats",
+# Every column but the label, which is the last field of a FlowRecord, so
+# feature column i is field i of a record.
+FEATURE_COLUMNS = CANONICAL_COLUMNS[:-1]
+# The text-valued features, in canonical order; this order is the encoder
+# order that model files store.
+CATEGORICAL_COLUMNS = tuple(
+    column
+    for column, kind in zip(FEATURE_COLUMNS, get_type_hints(FlowRecord).values())
+    if kind is str
 )
 
 # Code assigned to categorical values never seen while fitting the encoders.
@@ -92,13 +92,12 @@ def fit_transform(records: Sequence[FlowRecord], scale: bool = False) -> Feature
     if not records:
         raise ValueError("fit_transform requires at least one record")
     encoders: dict[str, dict[str, int]] = {}
-    for name in CATEGORICAL_COLUMNS:
-        vocabulary = sorted({getattr(r, COLUMN_FIELDS[name]) for r in records})
-        encoders[name] = {value: rank for rank, value in enumerate(vocabulary)}
+    for i, name in enumerate(FEATURE_COLUMNS):
+        if name in CATEGORICAL_COLUMNS:
+            vocabulary = sorted({r[i] for r in records})
+            encoders[name] = {value: rank for rank, value in enumerate(vocabulary)}
     encoded = encode_records(records, encoders)
-    labels = np.fromiter(
-        (int(r.prediction) for r in records), dtype=np.int64, count=len(records)
-    )
+    labels = np.fromiter((r[-1] for r in records), dtype=np.int64, count=len(records))
     scaler = None
     rows = encoded
     if scale:
@@ -121,8 +120,8 @@ def encode_records(
     if not records:
         return np.empty((0, len(FEATURE_COLUMNS)), dtype=np.float64)
     columns = []
-    for name in FEATURE_COLUMNS:
-        raw = [getattr(r, COLUMN_FIELDS[name]) for r in records]
+    for i, name in enumerate(FEATURE_COLUMNS):
+        raw = [r[i] for r in records]
         if name in CATEGORICAL_COLUMNS:
             codes = encoders[name]
             columns.append(

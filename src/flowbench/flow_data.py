@@ -4,6 +4,13 @@ The expected layout is comma-delimited UTF-8 with a mandatory header row of
 14 named columns. Binding is by header name rather than position, so
 reordered exports parse identically, and a leading unnamed index column (as
 produced by dataframe dumps) is tolerated and discarded.
+
+`COLUMNS` is the schema: one (CSV header, FlowRecord field, cell parser)
+entry per column, in canonical order, with the Prediction label last. The
+parser, `records_to_csv`, the feature encoder and the synthetic generator all
+follow it. Each cell parser takes the stripped cell text and returns its value
+or raises ValueError; cells are checked in canonical order, so a row with
+several bad cells reports the first of them.
 """
 
 from __future__ import annotations
@@ -15,47 +22,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
-
-CANONICAL_COLUMNS = [
-    "Time",
-    "Protocol",
-    "Flag",
-    "Family",
-    "Clusters",
-    "SeedAddress",
-    "ExpAddress",
-    "BTC",
-    "USD",
-    "Netflow_Bytes",
-    "IPaddress",
-    "Threats",
-    "Port",
-    "Prediction",
-]
+from typing import Iterable, NamedTuple, Sequence
 
 PROTOCOL_VOCABULARY = ("ICMP", "TCP", "UDP")
-
-COLUMN_FIELDS = {
-    "Time": "time",
-    "Protocol": "protocol",
-    "Flag": "flag",
-    "Family": "family",
-    "Clusters": "clusters",
-    "SeedAddress": "seed_address",
-    "ExpAddress": "exp_address",
-    "BTC": "btc",
-    "USD": "usd",
-    "Netflow_Bytes": "netflow_bytes",
-    "IPaddress": "ip_class",
-    "Threats": "threat",
-    "Port": "port",
-    "Prediction": "prediction",
-}
-
-_INT_COLUMNS = ("Time", "Clusters", "BTC", "USD", "Netflow_Bytes", "Port")
-_NONNEGATIVE_COLUMNS = ("Time", "BTC", "USD", "Netflow_Bytes")
-_STRING_COLUMNS = ("Flag", "Family", "SeedAddress", "ExpAddress", "IPaddress", "Threats")
 
 
 class SchemaError(ValueError):
@@ -97,9 +66,8 @@ _TOKEN_TO_CLASS = {
 _CLASS_TO_TOKEN = {cls: token for token, cls in _TOKEN_TO_CLASS.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
-    """One parsed 14-field flow row."""
+class FlowRecord(NamedTuple):
+    """One parsed flow row; its fields follow the order of COLUMNS."""
 
     time: int
     protocol: str
@@ -115,6 +83,63 @@ class FlowRecord:
     threat: str
     port: int
     prediction: ThreatClass
+
+
+def _integer(cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(f"non-integer value {cell!r}") from None
+
+
+def _amount(cell: str) -> int:
+    value = _integer(cell)
+    if value < 0:
+        raise ValueError(f"negative value {value}")
+    return value
+
+
+def _port(cell: str) -> int:
+    value = _integer(cell)
+    if not 0 <= value <= 65535:
+        raise ValueError(f"value {value} outside 0..65535")
+    return value
+
+
+def _protocol(cell: str) -> str:
+    if cell not in PROTOCOL_VOCABULARY:
+        raise ValueError(f"unknown value {cell!r}")
+    return sys.intern(cell)
+
+
+def _label(cell: str) -> ThreatClass:
+    try:
+        return _TOKEN_TO_CLASS[cell]
+    except KeyError:
+        raise ValueError(f"unknown label {cell!r}") from None
+
+
+# Text cells repeat a small vocabulary, so one shared copy of each saves memory.
+_text = sys.intern
+
+COLUMNS = (
+    ("Time", "time", _amount),
+    ("Protocol", "protocol", _protocol),
+    ("Flag", "flag", _text),
+    ("Family", "family", _text),
+    ("Clusters", "clusters", _integer),
+    ("SeedAddress", "seed_address", _text),
+    ("ExpAddress", "exp_address", _text),
+    ("BTC", "btc", _amount),
+    ("USD", "usd", _amount),
+    ("Netflow_Bytes", "netflow_bytes", _amount),
+    ("IPaddress", "ip_class", _text),
+    ("Threats", "threat", _text),
+    ("Port", "port", _port),
+    ("Prediction", "prediction", _label),
+)
+CANONICAL_COLUMNS = [header for header, _, _ in COLUMNS]
+COLUMN_FIELDS = {header: field for header, field, _ in COLUMNS}
 
 
 @dataclass
@@ -141,14 +166,13 @@ class DatasetSummary:
         }
 
 
-def parse_dataset(source, schema: Sequence[str] | None = None) -> list[FlowRecord]:
+def parse_dataset(source) -> list[FlowRecord]:
     """Parse a CSV path, bytes, or stream into a list of FlowRecords.
 
     `source` may be a filesystem path (str or Path), raw CSV bytes, or a
     file-like object. Raises SchemaError when the header is wrong and
     RowError, carrying the 1-based data row number, for the first bad row.
     """
-    expected = list(schema) if schema is not None else list(CANONICAL_COLUMNS)
     reader = csv.reader(_as_text_stream(source))
     header = next(reader, None)
     if header is None:
@@ -159,8 +183,8 @@ def parse_dataset(source, schema: Sequence[str] | None = None) -> list[FlowRecor
     duplicates = sorted(name for name, count in Counter(names).items() if count > 1)
     if duplicates:
         raise SchemaError(f"duplicate column(s): {', '.join(duplicates)}")
-    missing = [c for c in expected if c not in names]
-    extra = [c for c in names if c not in expected]
+    missing = [c for c in CANONICAL_COLUMNS if c not in names]
+    extra = [c for c in names if c not in CANONICAL_COLUMNS]
     if missing or extra:
         parts = []
         if missing:
@@ -170,7 +194,7 @@ def parse_dataset(source, schema: Sequence[str] | None = None) -> list[FlowRecor
         raise SchemaError("; ".join(parts))
 
     offset = 1 if drop_index else 0
-    positions = {name: i + offset for i, name in enumerate(names)}
+    cells = [(c, names.index(c) + offset, parse) for c, _, parse in COLUMNS]
     width = len(names) + offset
 
     records = []
@@ -179,45 +203,14 @@ def parse_dataset(source, schema: Sequence[str] | None = None) -> list[FlowRecor
             continue
         if len(raw) != width:
             raise RowError(row_no, f"expected {width} fields, found {len(raw)}")
-        records.append(_parse_row(raw, positions, row_no))
+        values = []
+        for column, position, parse in cells:
+            try:
+                values.append(parse(raw[position].strip()))
+            except ValueError as exc:
+                raise RowError(row_no, f"{column}: {exc}") from None
+        records.append(FlowRecord(*values))
     return records
-
-
-def _parse_row(raw: list[str], positions: dict[str, int], row_no: int) -> FlowRecord:
-    def cell(column: str) -> str:
-        return raw[positions[column]].strip()
-
-    values: dict[str, object] = {}
-    for column in _INT_COLUMNS:
-        text = cell(column)
-        try:
-            values[COLUMN_FIELDS[column]] = int(text)
-        except ValueError:
-            raise RowError(row_no, f"{column}: non-integer value {text!r}") from None
-
-    for column in _NONNEGATIVE_COLUMNS:
-        field = COLUMN_FIELDS[column]
-        if values[field] < 0:
-            raise RowError(row_no, f"{column}: negative value {values[field]}")
-    port = values["port"]
-    if not 0 <= port <= 65535:
-        raise RowError(row_no, f"Port: value {port} outside 0..65535")
-
-    protocol = sys.intern(cell("Protocol"))
-    if protocol not in PROTOCOL_VOCABULARY:
-        raise RowError(row_no, f"Protocol: unknown value {protocol!r}")
-    values["protocol"] = protocol
-
-    for column in _STRING_COLUMNS:
-        values[COLUMN_FIELDS[column]] = sys.intern(cell(column))
-
-    token = cell("Prediction")
-    try:
-        values["prediction"] = ThreatClass.from_token(token)
-    except ValueError:
-        raise RowError(row_no, f"Prediction: unknown label {token!r}") from None
-
-    return FlowRecord(**values)  # type: ignore[arg-type]
 
 
 def records_to_csv(records: Iterable[FlowRecord]) -> str:
@@ -225,25 +218,7 @@ def records_to_csv(records: Iterable[FlowRecord]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CANONICAL_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.time,
-                r.protocol,
-                r.flag,
-                r.family,
-                r.clusters,
-                r.seed_address,
-                r.exp_address,
-                r.btc,
-                r.usd,
-                r.netflow_bytes,
-                r.ip_class,
-                r.threat,
-                r.port,
-                r.prediction.token,
-            ]
-        )
+    writer.writerows((*r[:-1], r[-1].token) for r in records)
     return buffer.getvalue()
 
 
@@ -252,8 +227,8 @@ def summarize(records: Sequence[FlowRecord]) -> DatasetSummary:
     families = Counter(r.family for r in records)
     classes = Counter(r.prediction for r in records)
     distinct = {
-        column: len({getattr(r, COLUMN_FIELDS[column]) for r in records})
-        for column in CANONICAL_COLUMNS
+        column: len({r[i] for r in records})
+        for i, column in enumerate(CANONICAL_COLUMNS)
     }
     return DatasetSummary(
         row_count=len(records),

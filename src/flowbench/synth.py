@@ -91,7 +91,11 @@ def generate_records(
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 3, size=n)
 
+    # Values are drawn from object arrays so that every row refers to the
+    # vocabulary's own str and int objects, as parsed rows share interned
+    # text; a numpy string array would give each cell its own copy.
     def mixed_choice(values, shared_p, class_p):
+        values = np.array(values, dtype=object)
         out = rng.choice(values, size=n, p=shared_p)
         gate = rng.random(n) < signal_strength
         for cls, p in class_p.items():
@@ -115,41 +119,29 @@ def generate_records(
     flags = mixed_choice(_FLAGS, _FLAG_SHARED, _FLAG_CLASS)
     families = _mixed_families(rng, labels, n, signal_strength)
     clusters = mixed_integers(_CLUSTER_RANGES)
-    seed_addresses = rng.choice(_SEED_ADDRESSES, size=n)
-    exp_addresses = rng.choice(_EXP_ADDRESSES, size=n)
+    seed_addresses = rng.choice(np.array(_SEED_ADDRESSES, dtype=object), size=n)
+    exp_addresses = rng.choice(np.array(_EXP_ADDRESSES, dtype=object), size=n)
     btc = mixed_integers(_BTC_RANGES)
     usd = mixed_integers(_USD_RANGES)
     netflow = mixed_integers(_NETFLOW_RANGES)
     ip_classes = mixed_choice(_IP_CLASSES, _IP_SHARED, _IP_CLASS)
     threats = mixed_choice(_THREATS, _THREAT_SHARED, _THREAT_CLASS)
-    ports_idx = mixed_choice(np.arange(len(_PORTS)), _PORT_SHARED, _PORT_CLASS)
+    ports = mixed_choice(_PORTS, _PORT_SHARED, _PORT_CLASS)
 
+    columns = (times, protocols, flags, families, clusters, seed_addresses,
+               exp_addresses, btc, usd, netflow, ip_classes, threats, ports)
+    classes = list(ThreatClass)
+    predictions = [classes[code] for code in labels.tolist()]
     return [
-        FlowRecord(
-            time=int(times[i]),
-            protocol=str(protocols[i]),
-            flag=str(flags[i]),
-            family=str(families[i]),
-            clusters=int(clusters[i]),
-            seed_address=str(seed_addresses[i]),
-            exp_address=str(exp_addresses[i]),
-            btc=int(btc[i]),
-            usd=int(usd[i]),
-            netflow_bytes=int(netflow[i]),
-            ip_class=str(ip_classes[i]),
-            threat=str(threats[i]),
-            port=_PORTS[int(ports_idx[i])],
-            prediction=ThreatClass(int(labels[i])),
-        )
-        for i in range(n)
+        FlowRecord(*row) for row in zip(*(c.tolist() for c in columns), predictions)
     ]
 
 
 def _mixed_families(rng, labels, n, signal_strength):
-    out = rng.choice(_ALL_FAMILIES, size=n)
+    out = rng.choice(np.array(_ALL_FAMILIES, dtype=object), size=n)
     gate = rng.random(n) < signal_strength
     for cls, pool in _FAMILY_POOLS.items():
-        draw = rng.choice(pool, size=n)
+        draw = rng.choice(np.array(pool, dtype=object), size=n)
         mask = gate & (labels == cls)
         out[mask] = draw[mask]
     return out

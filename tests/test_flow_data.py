@@ -2,6 +2,8 @@ import pytest
 
 from flowbench.flow_data import (
     CANONICAL_COLUMNS,
+    COLUMNS,
+    FlowRecord,
     RowError,
     SchemaError,
     ThreatClass,
@@ -31,6 +33,11 @@ def test_parse_reference_row():
     assert r.threat == "Botnet"
     assert r.port == 5061
     assert r.prediction is ThreatClass.SYNTHETIC_SIGNATURE
+
+
+def test_column_table_names_the_record_fields_in_order():
+    assert [field for _, field, _ in COLUMNS] == list(FlowRecord._fields)
+    assert CANONICAL_COLUMNS == HEADER.split(",")
 
 
 def test_parse_header_only_gives_empty_list():
@@ -72,6 +79,42 @@ def test_unknown_protocol_is_row_error():
     bad = FIGURE_ROW.replace("TCP", "GRE")
     with pytest.raises(RowError, match="Protocol"):
         parse_dataset(csv_bytes(bad))
+
+
+def _with_cells(**cells: str) -> str:
+    values = dict(zip(HEADER.split(","), FIGURE_ROW.split(",")))
+    values.update(cells)
+    return ",".join(values.values())
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        *[
+            (c, "-3", f"{c}: negative value -3")
+            for c in ("Time", "BTC", "USD", "Netflow_Bytes")
+        ],
+        *[
+            (c, "five", f"{c}: non-integer value 'five'")
+            for c in ("Time", "Clusters", "BTC", "USD", "Netflow_Bytes", "Port")
+        ],
+        ("Port", "-1", "Port: value -1 outside 0..65535"),
+        ("Port", "65536", "Port: value 65536 outside 0..65535"),
+        ("Protocol", "GRE", "Protocol: unknown value 'GRE'"),
+        ("Prediction", "XX", "Prediction: unknown label 'XX'"),
+    ],
+)
+def test_row_error_message_names_the_bad_cell(column, value, message):
+    with pytest.raises(RowError) as info:
+        parse_dataset(csv_bytes(_with_cells(**{column: value})))
+    assert str(info.value) == f"row 1: {message}"
+
+
+def test_row_error_names_the_first_bad_cell_in_header_order():
+    bad = _with_cells(Protocol="GRE", USD="five")
+    with pytest.raises(RowError) as info:
+        parse_dataset(csv_bytes(bad))
+    assert str(info.value) == "row 1: Protocol: unknown value 'GRE'"
 
 
 def test_missing_column_names_the_column():

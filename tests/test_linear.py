@@ -58,6 +58,15 @@ def test_same_seed_gives_identical_weights(cls, rng):
     np.testing.assert_array_equal(a.bias_, b.bias_)
 
 
+def test_perceptron_ignores_l2(rng):
+    X = rng.normal(size=(60, 4))
+    y = rng.integers(0, 3, size=60)
+    a = PerceptronModel(max_epochs=20, l2=0.0, seed=3).fit(X, y)
+    b = PerceptronModel(max_epochs=20, l2=50.0, seed=3).fit(X, y)
+    np.testing.assert_array_equal(a.weights_, b.weights_)
+    np.testing.assert_array_equal(a.bias_, b.bias_)
+
+
 def test_fitted_svm_margin_is_positive(rng):
     X, y = _blobs(rng)
     model = LinearSVMModel(max_epochs=200, seed=2).fit(X, y)

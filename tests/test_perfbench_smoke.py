@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from flowbench.cli import EXIT_OK, main
 from flowbench.flow_data import records_to_csv
 from flowbench.synth import generate_records
 
@@ -36,3 +37,42 @@ def test_traced_bench_reports_spans_and_tree_stats(tmp_path):
     for name in TREE_MODELS:
         stats = document["tree_stats"][name]
         assert stats["nodes"] >= 3 and stats["depth"] >= 1
+
+
+def _run_traced(tmp_path, *command):
+    """Run one CLI command under traced_cli.py; return the span document."""
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"),
+         "--spans", str(spans), "--parent", "root", *command],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(spans.read_text())
+
+
+def test_traced_predict_reports_read_side_spans(tmp_path):
+    # predict-100k's parse and tree metrics are read from these spans.
+    data = tmp_path / "data.csv"
+    data.write_text(records_to_csv(generate_records(150, seed=7, signal_strength=0.9)))
+    model = tmp_path / "model.json"
+    _run_traced(tmp_path, "train", "--data", str(data), "--model", "random_forest",
+                "--output", str(model))
+    traced = tmp_path / "traced.csv"
+    document = _run_traced(tmp_path, "predict", "--data", str(data),
+                           "--model-file", str(model), "--output", str(traced))
+    names = {span["name"] for span in document["spans"]}
+    assert {
+        "flow_data.parse_dataset",
+        "features.encode_records",
+        "classifiers.persistence.load_model",
+        "classifiers.tree.tree_scores",
+    } <= names
+    untraced = tmp_path / "untraced.csv"
+    assert main(["predict", "--data", str(data), "--model-file", str(model),
+                 "--output", str(untraced)]) == EXIT_OK
+    assert traced.read_bytes() == untraced.read_bytes()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,27 @@ def test_generator_is_deterministic():
     assert records_to_csv(a) == records_to_csv(b)
     c = generate_records(150, seed=9, signal_strength=0.5)
     assert a != c
+
+
+@pytest.mark.parametrize(
+    "n, seed, strength, digest",
+    [
+        (1000, 7, 0.9, "d0ae4e102abaeb20bc85c7d8be53745443722f576e33a0e39aac45bcfebedd7c"),
+        (1000, 7, 0.6, "c5f1392114a8c1ba16dfcdb8fb3704cd3a33d03e30cd0109caf456b2362dee72"),
+        (1, 1, 1.0, "5615e1b6917905ddb8162a1a1baada721503be00ee95f27c73964059a8f3ddff"),
+    ],
+)
+def test_generated_csv_bytes_are_pinned(n, seed, strength, digest):
+    # perfbench/references.json records outputs computed from these bytes.
+    text = records_to_csv(generate_records(n, seed=seed, signal_strength=strength))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_generated_rows_share_their_text_objects():
+    records = generate_records(300, seed=4, signal_strength=0.5)
+    for field in ("protocol", "flag", "family", "seed_address", "threat"):
+        values = [getattr(r, field) for r in records]
+        assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_generator_validates_arguments():

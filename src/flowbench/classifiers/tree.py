@@ -1,16 +1,19 @@
-"""CART decision trees: exact Gini split search plus a randomized variant.
+"""CART decision trees, the base of every tree model in the portfolio.
 
-The exhaustive splitter scans every midpoint between consecutive distinct
-sorted values of each candidate feature and keeps the (feature, threshold)
-pair with the lowest weighted child Gini; ties resolve to the lowest feature
-index, then the lowest threshold. Admissibility of the winning candidate is
-decided in exact integer arithmetic so zero-gain splits are kept (both
-children still shrink) and float rounding can never turn a valid split into
-a leaf.
+Split search has two candidate generators. The exhaustive one proposes every
+midpoint between consecutive distinct sorted values of each candidate
+feature; the random one draws one uniform threshold per non-constant feature
+between its node-local min and max (Geurts et al., Extremely randomized
+trees, 2006). One scorer keeps the candidate with the lowest weighted child
+Gini; ties resolve to the lowest feature index, then the lowest threshold.
+Admissibility of the winner is decided in exact integer arithmetic so
+zero-gain splits are kept (both children still shrink) and float rounding
+can never turn a valid split into a leaf.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +87,8 @@ def build_tree(
     random feature subset at every split (requires rng).
     """
     n, d = X.shape
+    columns = np.ascontiguousarray(X.T)
+    onehot = np.eye(n_classes, dtype=np.int64)[y]
     root = TreeNode()
     stack = [(root, np.arange(n), 0)]
     while stack:
@@ -103,22 +108,22 @@ def build_tree(
         else:
             feature_ids = np.arange(d)
 
-        X_node = X[idx]
-        y_node = y[idx]
+        values = columns[feature_ids[:, None], idx]
+        labels = onehot[idx]
         if splitter == "random":
-            found = _best_random_split(X_node, y_node, counts, feature_ids, rng)
+            candidates = _random_candidates(values, labels, rng)
         else:
-            found = _best_exhaustive_split(X_node, y_node, n_classes, feature_ids)
-
-        if found is None or not _admissible(found, counts, size, min_impurity_decrease):
+            candidates = _exhaustive_candidates(values, labels)
+        found = _best_split(*candidates, counts, min_impurity_decrease)
+        if found is None:
             node.dist = counts / size
             continue
 
-        node.feature = found.feature
-        node.threshold = found.threshold
+        row, node.threshold = found
+        node.feature = int(feature_ids[row])
         node.left = TreeNode()
         node.right = TreeNode()
-        go_left = X_node[:, found.feature] <= found.threshold
+        go_left = values[row] <= node.threshold
         stack.append((node.right, idx[~go_left], depth + 1))
         stack.append((node.left, idx[go_left], depth + 1))
     return root
@@ -141,128 +146,85 @@ def tree_scores(root: TreeNode, X: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def features_used(root: TreeNode, n_features: int) -> list[bool]:
-    """Mask of features appearing in at least one split of the tree."""
-    mask = [False] * n_features
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        mask[node.feature] = True
-        stack.append(node.left)
-        stack.append(node.right)
-    return mask
+# Each candidate generator takes the node's feature values, one row per
+# candidate feature, and its one-hot labels, and returns parallel arrays: the
+# row of each candidate's feature, its threshold, and the class counts of the
+# rows it sends left.
 
 
-@dataclass
-class _Split:
-    weighted_gini: float
-    feature: int
-    threshold: float
-    n_left: int
-    ssq_left: int
-    n_right: int
-    ssq_right: int
+def _exhaustive_candidates(values, labels):
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    rows, cuts = np.nonzero(ordered[:, :-1] != ordered[:, 1:])
+    left = np.cumsum(labels[order], axis=1)[rows, cuts]
+    lower, upper = ordered[rows, cuts], ordered[rows, cuts + 1]
+    return rows, _below_upper((lower + upper) / 2.0, lower, upper), left
 
 
-def _admissible(
-    split: _Split, parent_counts: np.ndarray, n: int, min_decrease: float
-) -> bool:
-    ssq_parent = int(np.dot(parent_counts, parent_counts))
+def _random_candidates(values, labels, rng):
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    (rows,) = np.nonzero(lo != hi)
+    lo, hi = lo[rows], hi[rows]
+    thresholds = _below_upper(rng.uniform(lo, hi), lo, hi)
+    left = (values[rows] <= thresholds[:, None]).astype(np.int64) @ labels
+    return rows, thresholds, left
+
+
+def _below_upper(thresholds, lower, upper):
+    """Thresholds, with one that rounded onto its upper value moved to the lower.
+
+    A midpoint of adjacent doubles, or a uniform draw, can land on the upper
+    value and send every row left; scikit-learn's splitters use the same rule.
+    """
+    return np.where(thresholds < upper, thresholds, lower)
+
+
+def _best_split(rows, thresholds, left, counts, min_decrease):
+    """(candidate row, threshold) with the lowest weighted child Gini, or None."""
+    if rows.size == 0:
+        return None
+    n = int(counts.sum())
+    right = counts - left
+    n_left = left.sum(axis=1)
+    n_right = n - n_left
+    ssq_left = np.einsum("ij,ij->i", left, left)
+    ssq_right = np.einsum("ij,ij->i", right, right)
+    weighted = ((n_left - ssq_left / n_left) + (n_right - ssq_right / n_right)) / n
+    best = int(np.argmin(weighted))
+    ssq_parent = int(np.dot(counts, counts))
     if min_decrease <= 0.0:
         # Exact integer form of: weighted child Gini <= parent Gini.
-        lhs = n * (split.ssq_left * split.n_right + split.ssq_right * split.n_left)
-        return lhs >= ssq_parent * split.n_left * split.n_right
-    parent = (n - ssq_parent / n) / n
-    return parent - split.weighted_gini >= min_decrease
+        nl, nr = int(n_left[best]), int(n_right[best])
+        lhs = n * (int(ssq_left[best]) * nr + int(ssq_right[best]) * nl)
+        admissible = lhs >= ssq_parent * nl * nr
+    else:
+        parent = (n - ssq_parent / n) / n
+        admissible = parent - float(weighted[best]) >= min_decrease
+    return (int(rows[best]), float(thresholds[best])) if admissible else None
 
 
-def _best_exhaustive_split(
-    X: np.ndarray, y: np.ndarray, n_classes: int, feature_ids: np.ndarray
-) -> _Split | None:
-    n = X.shape[0]
-    best: _Split | None = None
-    for f in feature_ids:
-        column = X[:, f]
-        order = np.argsort(column, kind="stable")
-        sorted_values = column[order]
-        cuts = np.flatnonzero(sorted_values[:-1] != sorted_values[1:])
-        if cuts.size == 0:
-            continue
-        sorted_y = y[order]
-        # Class counts left of each cut, via per-class prefix positions.
-        left = np.stack(
-            [
-                np.searchsorted(np.flatnonzero(sorted_y == c), cuts, side="right")
-                for c in range(n_classes)
-            ],
-            axis=1,
-        )
-        totals = np.bincount(sorted_y, minlength=n_classes)
-        right = totals[None, :] - left
-        n_left = (cuts + 1).astype(np.float64)
-        n_right = n - n_left
-        ssq_left = np.einsum("ij,ij->i", left, left).astype(np.float64)
-        ssq_right = np.einsum("ij,ij->i", right, right).astype(np.float64)
-        weighted = ((n_left - ssq_left / n_left) + (n_right - ssq_right / n_right)) / n
-        pos = int(np.argmin(weighted))
-        if best is None or weighted[pos] < best.weighted_gini:
-            cut = int(cuts[pos])
-            best = _Split(
-                weighted_gini=float(weighted[pos]),
-                feature=int(f),
-                threshold=float((sorted_values[cut] + sorted_values[cut + 1]) / 2.0),
-                n_left=cut + 1,
-                ssq_left=int(ssq_left[pos]),
-                n_right=n - cut - 1,
-                ssq_right=int(ssq_right[pos]),
-            )
-    return best
-
-
-def _best_random_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    total_counts: np.ndarray,
-    feature_ids: np.ndarray,
-    rng: np.random.Generator,
-) -> _Split | None:
-    n = X.shape[0]
-    best: _Split | None = None
-    for f in feature_ids:
-        column = X[:, f]
-        lo = float(column.min())
-        hi = float(column.max())
-        if lo == hi:
-            continue
-        threshold = float(rng.uniform(lo, hi))
-        go_left = column <= threshold
-        n_left = int(np.count_nonzero(go_left))
-        left = np.bincount(y[go_left], minlength=total_counts.size)
-        right = total_counts - left
-        n_right = n - n_left
-        ssq_left = int(np.dot(left, left))
-        ssq_right = int(np.dot(right, right))
-        weighted = ((n_left - ssq_left / n_left) + (n_right - ssq_right / n_right)) / n
-        if best is None or weighted < best.weighted_gini:
-            best = _Split(
-                weighted_gini=weighted,
-                feature=int(f),
-                threshold=threshold,
-                n_left=n_left,
-                ssq_left=ssq_left,
-                n_right=n_right,
-                ssq_right=ssq_right,
-            )
-    return best
+def _validated_seed(seed) -> int:
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return seed
 
 
 class DecisionTreeModel(Classifier):
-    """Greedy CART classifier with exhaustive Gini split search."""
+    """Greedy CART classifier with exhaustive Gini split search.
+
+    The base of every tree model. A fit grows `n_trees` trees, tree i with
+    rng `default_rng([seed, i])`, each on a bootstrap sample of the rows when
+    `bootstrap` is set and over a fresh `max_features` subset of the features
+    at every split; scores average the trees' leaf distributions. A single
+    tree model grows one tree on all rows and features.
+    """
 
     name = "decision_tree"
     _splitter = "best"
+    n_trees = 1
+    bootstrap = False
+    max_features: int | str = "all"
+    seed = 0
 
     def __init__(
         self,
@@ -274,31 +236,53 @@ class DecisionTreeModel(Classifier):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_impurity_decrease = min_impurity_decrease
-        self.tree_: TreeNode | None = None
+        self.trees_: list[TreeNode] | None = None
 
-    def _rng(self) -> np.random.Generator | None:
-        return None
+    def _resolve_max_features(self, d: int) -> int | None:
+        if self.max_features == "all":
+            return None
+        if self.max_features == "sqrt":
+            return min(d, math.isqrt(d - 1) + 1 if d > 1 else 1)
+        count = int(self.max_features)
+        if count < 1:
+            raise ValueError("max_features must be 'all', 'sqrt', or a positive integer")
+        return min(d, count)
 
     def _fit(self, X, codes):
-        self.tree_ = build_tree(
-            X,
-            codes,
-            self.classes_.size,
-            splitter=self._splitter,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_impurity_decrease=self.min_impurity_decrease,
-            rng=self._rng(),
-        )
+        n, d = X.shape
+        per_split = self._resolve_max_features(d)
+        trees: list[TreeNode] = []
+        for i in range(self.n_trees):
+            rng = np.random.default_rng([self.seed, i])
+            sample = rng.integers(0, n, size=n) if self.bootstrap else slice(None)
+            root = build_tree(
+                X[sample],
+                codes[sample],
+                self.classes_.size,
+                splitter=self._splitter,
+                max_depth=self.max_depth,
+                min_samples_split=self.min_samples_split,
+                min_impurity_decrease=self.min_impurity_decrease,
+                max_features=per_split,
+                rng=rng,
+            )
+            trees.append(root)
+        self.trees_ = trees
 
     def _scores(self, X):
-        return tree_scores(self.tree_, X, self.classes_.size)
+        k = self.classes_.size
+        total = np.zeros((X.shape[0], k), dtype=np.float64)
+        for root in self.trees_:
+            total += tree_scores(root, X, k)
+        return total / len(self.trees_)
 
     def _state(self):
-        return {"tree": self.tree_.to_dict()}
+        return {"trees": [root.to_dict() for root in self.trees_]}
 
     def _load_state(self, state):
-        self.tree_ = TreeNode.from_dict(state["tree"])
+        # Single-tree files written before every tree model stored a list.
+        docs = state["trees"] if "trees" in state else [state["tree"]]
+        self.trees_ = [TreeNode.from_dict(doc) for doc in docs]
 
 
 class ExtraTreeModel(DecisionTreeModel):
@@ -315,7 +299,4 @@ class ExtraTreeModel(DecisionTreeModel):
         seed: int = 0,
     ):
         super().__init__(max_depth, min_samples_split, min_impurity_decrease)
-        self.seed = seed
-
-    def _rng(self):
-        return np.random.default_rng(self.seed)
+        self.seed = _validated_seed(seed)

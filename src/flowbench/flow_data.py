@@ -239,11 +239,12 @@ def summarize(records: Sequence[FlowRecord]) -> DatasetSummary:
 
 
 def _as_text_stream(source) -> io.StringIO:
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports write.
     if isinstance(source, (str, Path)):
-        return io.StringIO(Path(source).read_text(encoding="utf-8"))
+        return io.StringIO(Path(source).read_text(encoding="utf-8-sig"))
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
+        return io.StringIO(source.decode("utf-8-sig"))
     data = source.read()
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")
     return io.StringIO(data)

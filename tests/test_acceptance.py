@@ -201,7 +201,7 @@ def test_criterion_7_cart_root_matches_exhaustive_search():
         model = DecisionTreeModel().fit(X, y)
         codes = np.searchsorted(model.classes_, y)
         oracle = brute_force_best_split(X, codes, model.classes_.size)
-        root = model.tree_
+        root = model.trees_[0]
         if root.is_leaf:
             if oracle is not None and np.unique(y).size > 1:
                 mismatches += 1

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,10 @@ import pytest
 from flowbench.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from flowbench.flow_data import parse_dataset, records_to_csv
 from flowbench.synth import generate_records
+
+from conftest import FIGURE_ROW, csv_bytes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -191,6 +199,40 @@ def test_train_then_predict_round_trip(synth_csv, tmp_path, capsys):
     expected = model.predict(matrix.encoded)
     got = np.array([int(line.split(",")[1]) for line in lines[1:]])
     assert np.array_equal(got, expected)
+
+
+def test_negative_seed_is_usage_error(synth_csv, tmp_path, capsys):
+    for name in ("extra_tree", "random_forest"):
+        assert main(["train", "--data", str(synth_csv), "--model", name, "--seed", "-1",
+                     "--output", str(tmp_path / "model.json")]) == EXIT_USAGE
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["decision_tree", "extra_tree"])
+def test_train_splits_rows_whose_midpoint_rounds_up(name, tmp_path):
+    # USD values 2**52 + 1 and 2**52 + 2: their midpoint rounds onto the
+    # upper one. A fit that hangs fails through the subprocess timeout.
+    rows = [FIGURE_ROW.replace(",500,", f",{usd},").replace(",SS", f",{label}")
+            for usd, label in ((4503599627370497, "A"), (4503599627370498, "S"))]
+    data = tmp_path / "data.csv"
+    data.write_bytes(csv_bytes(*rows))
+    model_file = tmp_path / "model.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
+    command = [sys.executable, "-m", "flowbench.cli"]
+    proc = subprocess.run(
+        [*command, "train", "--data", str(data), "--model", name, "--seed", "0",
+         "--output", str(model_file)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    proc = subprocess.run(
+        [*command, "predict", "--data", str(data), "--model-file", str(model_file)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout.splitlines()[1:] == ["0,0,A", "1,1,S"]
 
 
 def test_predict_handles_unseen_categories(synth_csv, tmp_path):

@@ -33,9 +33,8 @@ def test_single_extra_tree_without_subsets_matches_tree_variant(rng):
     X = rng.integers(0, 6, size=(50, 3)).astype(float)
     y = rng.integers(0, 3, size=50)
     ensemble = ExtraTreesModel(n_trees=1, max_features="all", seed=5).fit(X, y)
-    # tree 0 of an ensemble draws from rng seeded with [seed, 0]
-    single = ExtraTreeModel(seed=[5, 0]).fit(X, y)
-    assert np.array_equal(single.predict(X), ensemble.predict(X))
+    single = ExtraTreeModel(seed=5).fit(X, y)
+    np.testing.assert_array_equal(single.predict_scores(X), ensemble.predict_scores(X))
 
 
 def test_same_seed_gives_identical_predictions(rng):
@@ -60,15 +59,6 @@ def test_ensembles_match_single_tree_on_toy_data(toy):
         assert accuracy >= baseline_accuracy
 
 
-def test_feature_masks_are_recorded(rng):
-    X = rng.integers(0, 6, size=(60, 5)).astype(float)
-    y = rng.integers(0, 2, size=60)
-    model = RandomForestModel(n_trees=10, seed=3).fit(X, y)
-    assert len(model.feature_masks_) == 10
-    assert all(len(mask) == 5 for mask in model.feature_masks_)
-    assert any(any(mask) for mask in model.feature_masks_)
-
-
 def test_ensemble_scores_average_to_distributions(rng):
     X = rng.integers(0, 5, size=(50, 3)).astype(float)
     y = rng.integers(0, 3, size=50)
@@ -80,5 +70,8 @@ def test_ensemble_scores_average_to_distributions(rng):
 def test_seed_must_be_non_negative_integer():
     with pytest.raises(ValueError):
         BaggingModel(seed=-1)
+    for bad in (-1, 1.5, [5, 0]):
+        with pytest.raises(ValueError, match="seed"):
+            ExtraTreeModel(seed=bad)
     with pytest.raises(ValueError):
         RandomForestModel(n_trees=0)

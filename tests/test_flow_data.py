@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from flowbench.flow_data import (
@@ -33,6 +35,16 @@ def test_parse_reference_row():
     assert r.threat == "Botnet"
     assert r.port == 5061
     assert r.prediction is ThreatClass.SYNTHETIC_SIGNATURE
+
+
+@pytest.mark.parametrize("kind", ["path", "str path", "bytes", "byte stream"])
+def test_leading_byte_order_mark_is_dropped(kind, tmp_path):
+    data = b"\xef\xbb\xbf" + csv_bytes(FIGURE_ROW)
+    path = tmp_path / "bom.csv"
+    path.write_bytes(data)
+    source = {"path": path, "str path": str(path), "bytes": data,
+              "byte stream": io.BytesIO(data)}[kind]
+    assert parse_dataset(source) == parse_dataset(csv_bytes(FIGURE_ROW))
 
 
 def test_column_table_names_the_record_fields_in_order():

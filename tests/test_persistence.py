@@ -123,7 +123,6 @@ def test_model_file_with_stored_feature_masks_still_loads(tmp_path):
     path = tmp_path / "old.json"
     path.write_text(json.dumps(document))
     artifact = load_model(path)
-    assert artifact.model.feature_masks_ == [[False, True], [False, False]]
     np.testing.assert_array_equal(
         artifact.model.predict_scores([[0.0, 0.0], [0.0, 1.0]]),
         [[1.0, 0.0], [0.5, 0.5]],
@@ -132,6 +131,37 @@ def test_model_file_with_stored_feature_masks_still_loads(tmp_path):
     save_model(resaved, artifact.model, encoders={}, scaler=None,
                column_names=["a", "b"])
     assert "feature_masks" not in json.loads(resaved.read_text())["state"]
+
+
+@pytest.mark.parametrize("name", ["decision_tree", "extra_tree"])
+def test_single_tree_file_with_one_stored_tree_still_loads(name, tmp_path):
+    # Earlier writers of format 1 saved a single tree model's one tree
+    # under "tree"; every tree model now stores a "trees" list.
+    hyperparameters = make_model(name).hyperparameters
+    document = {
+        "format_version": 1,
+        "model": name,
+        "hyperparameters": hyperparameters,
+        "state": {
+            "classes": [0, 2],
+            "n_features": 1,
+            "tree": {"feature": 0, "threshold": 0.5, "left": {"dist": [1.0, 0.0]},
+                     "right": {"dist": [0.0, 1.0]}},
+        },
+        "encoders": {},
+        "scaler": None,
+        "column_names": ["a"],
+    }
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(document))
+    model = load_model(path).model
+    assert model.hyperparameters == hyperparameters
+    np.testing.assert_array_equal(model.predict([[0.2], [0.9]]), [0, 2])
+    resaved = tmp_path / "new.json"
+    save_model(resaved, model, encoders={}, scaler=None, column_names=["a"])
+    state = json.loads(resaved.read_text())["state"]
+    assert "tree" not in state
+    assert state["trees"] == [document["state"]["tree"]]
 
 
 def test_knn_model_file_with_stored_k_still_loads(tmp_path):

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from flowbench.classifiers import DecisionTreeModel, ExtraTreeModel, NotFittedError, gini
+from flowbench.classifiers import (
+    DecisionTreeModel,
+    ExtraTreeModel,
+    ExtraTreesModel,
+    NotFittedError,
+    build_tree,
+    gini,
+)
 
 
 def brute_force_best_split(X, y, n_classes):
@@ -36,6 +43,32 @@ def weighted_gini_of_split(X, y, n_classes, feature, threshold):
     ssq_l = sum(sum(1 for i in left if y[i] == c) ** 2 for c in range(n_classes))
     ssq_r = sum(sum(1 for i in right if y[i] == c) ** 2 for c in range(n_classes))
     return ((len(left) - ssq_l / len(left)) + (len(right) - ssq_r / len(right))) / n
+
+
+def random_root_split(X, y, n_classes, rng):
+    """Root split of the random splitter, drawn one scalar at a time.
+
+    One uniform threshold per non-constant feature, in feature order; the
+    lowest weighted child Gini wins and ties go to the lowest feature.
+    Returns (weighted_gini, feature, threshold) or None.
+    """
+    best = None
+    for f in range(X.shape[1]):
+        lo, hi = float(X[:, f].min()), float(X[:, f].max())
+        if lo == hi:
+            continue
+        threshold = float(rng.uniform(lo, hi))
+        if threshold == hi:
+            threshold = lo
+        weighted = weighted_gini_of_split(X, y, n_classes, f, threshold)
+        if best is None or weighted < best[0]:
+            best = (weighted, f, threshold)
+    return best
+
+
+# Two rows whose midpoint, (2**52 + 1 + 2**52 + 2) / 2, rounds onto the upper
+# value; a uniform draw between them lands on it about half the time.
+ADJACENT_ROWS = np.array([[4503599627370497.0, 1.0], [4503599627370498.0, 1.0]])
 
 
 # gini -------------------------------------------------------------------------
@@ -73,7 +106,7 @@ def test_single_class_data_gives_lone_leaf():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1, 1, 1])
     model = DecisionTreeModel().fit(X, y)
-    assert model.tree_.is_leaf
+    assert model.trees_[0].is_leaf
     assert model.predict(X).tolist() == [1, 1, 1]
 
 
@@ -81,8 +114,8 @@ def test_one_dimensional_toy_split():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
     model = DecisionTreeModel().fit(X, y)
-    assert model.tree_.feature == 0
-    assert model.tree_.threshold == pytest.approx(2.5)
+    assert model.trees_[0].feature == 0
+    assert model.trees_[0].threshold == pytest.approx(2.5)
     assert model.predict(X).tolist() == y.tolist()
 
 
@@ -120,7 +153,7 @@ def test_root_split_matches_brute_force(rng):
         y = rng.integers(0, 3, size=n)
         model = DecisionTreeModel().fit(X, y)
         oracle = brute_force_best_split(X, np.searchsorted(model.classes_, y), model.classes_.size)
-        root = model.tree_
+        root = model.trees_[0]
         if root.is_leaf:
             # a leaf root means the node was pure or had no candidate splits
             assert oracle is None or np.unique(y).size == 1
@@ -148,27 +181,34 @@ def test_tree_fit_is_bit_identical_across_runs(rng):
     y = rng.integers(0, 3, size=60)
     a = DecisionTreeModel().fit(X, y)
     b = DecisionTreeModel().fit(X, y)
-    assert json.dumps(a.tree_.to_dict()) == json.dumps(b.tree_.to_dict())
+    assert json.dumps(a.trees_[0].to_dict()) == json.dumps(b.trees_[0].to_dict())
 
 
 def test_max_depth_limits_tree():
     X = np.arange(8, dtype=float).reshape(-1, 1)
     y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
     model = DecisionTreeModel(max_depth=1).fit(X, y)
-    assert model.tree_.left.is_leaf and model.tree_.right.is_leaf
+    assert model.trees_[0].left.is_leaf and model.trees_[0].right.is_leaf
 
 
 def test_prediction_equals_routed_leaf_argmax():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
     model = DecisionTreeModel().fit(X, y)
-    root = model.tree_
+    root = model.trees_[0]
     for value in (0.0, 2.4, 2.6, 9.0):
         node = root
         while not node.is_leaf:
             node = node.left if value <= node.threshold else node.right
         expected = int(np.argmax(node.dist))
         assert model.predict(np.array([[value]]))[0] == model.classes_[expected]
+
+
+def test_midpoint_rounding_onto_upper_value_still_splits():
+    assert (ADJACENT_ROWS[0, 0] + ADJACENT_ROWS[1, 0]) / 2.0 == ADJACENT_ROWS[1, 0]
+    model = DecisionTreeModel(max_depth=3).fit(ADJACENT_ROWS, np.array([0, 1]))
+    assert model.trees_[0].threshold == ADJACENT_ROWS[0, 0]
+    assert model.predict(ADJACENT_ROWS).tolist() == [0, 1]
 
 
 def test_unfitted_predict_raises():
@@ -196,7 +236,7 @@ def test_extra_tree_pure_data_is_lone_leaf():
     y = np.array([2, 2, 2])
     for seed in (0, 1, 99):
         model = ExtraTreeModel(seed=seed).fit(X, y)
-        assert model.tree_.is_leaf
+        assert model.trees_[0].is_leaf
 
 
 def test_extra_tree_same_seed_same_tree():
@@ -205,10 +245,10 @@ def test_extra_tree_same_seed_same_tree():
     y = rng.integers(0, 3, size=50)
     a = ExtraTreeModel(seed=11).fit(X, y)
     b = ExtraTreeModel(seed=11).fit(X, y)
-    assert json.dumps(a.tree_.to_dict()) == json.dumps(b.tree_.to_dict())
+    assert json.dumps(a.trees_[0].to_dict()) == json.dumps(b.trees_[0].to_dict())
     c = ExtraTreeModel(seed=12).fit(X, y)
     assert np.array_equal(a.predict(X), b.predict(X))
-    assert c.tree_ is not None  # different seed still fits
+    assert c.trees_ is not None  # different seed still fits
 
 
 def test_extra_tree_separable_data_reaches_perfect_accuracy():
@@ -217,6 +257,42 @@ def test_extra_tree_separable_data_reaches_perfect_accuracy():
     for seed in range(5):
         model = ExtraTreeModel(seed=seed).fit(X, y)
         assert model.predict(X).tolist() == y.tolist()
+
+
+def test_random_threshold_drawn_onto_upper_value_still_splits():
+    y = np.array([0, 1])
+    for seed in range(6):
+        for model in (ExtraTreeModel(seed=seed), ExtraTreesModel(n_trees=5, seed=seed)):
+            model.fit(ADJACENT_ROWS, y)
+            assert model.predict(ADJACENT_ROWS).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**40])
+def test_extra_tree_draws_from_its_seed_alone(seed):
+    rng = np.random.default_rng(4)
+    X = rng.integers(0, 8, size=(60, 4)).astype(float)
+    y = rng.integers(0, 3, size=60)
+    model = ExtraTreeModel(seed=seed).fit(X, y)
+    direct = build_tree(X, y, 3, splitter="random", rng=np.random.default_rng(seed))
+    assert model.trees_[0].to_dict() == direct.to_dict()
+
+
+def test_random_root_split_matches_scalar_draws(rng):
+    for seed in range(100):
+        n = int(rng.integers(2, 31))
+        d = int(rng.integers(1, 4))
+        X = rng.integers(0, 5, size=(n, d)).astype(float)
+        y = rng.integers(0, 3, size=n)
+        model = ExtraTreeModel(seed=seed).fit(X, y)
+        codes = np.searchsorted(model.classes_, y)
+        oracle = random_root_split(X, codes, model.classes_.size, np.random.default_rng(seed))
+        root = model.trees_[0]
+        if root.is_leaf:
+            assert oracle is None or np.unique(y).size == 1
+            continue
+        assert (root.feature, root.threshold) == oracle[1:]
+        achieved = weighted_gini_of_split(X, codes, model.classes_.size, root.feature, root.threshold)
+        assert achieved == oracle[0]
 
 
 def test_leaf_distributions_sum_to_one(rng):

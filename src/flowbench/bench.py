@@ -12,11 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
-from flowbench.classifiers import MODEL_NAMES, make_model
+from flowbench.classifiers import MODEL_NAMES, make_model, validated_seed
 from flowbench.features import FeatureMatrix, SplitPlan, k_folds
 from flowbench.metrics import (
     CVResult,
@@ -26,7 +24,7 @@ from flowbench.metrics import (
     cv_evaluate,
     f1,
     fit_and_score,
-    roc_curve,
+    roc_curves,
 )
 
 SCHEMA_VERSION = 1
@@ -46,8 +44,6 @@ class EvalReport:
     time_taken_s: float | None = None
     confusion: list[list[int]] | None = None
     cv: CVResult | None = None
-    scores: np.ndarray | None = field(default=None, compare=False, repr=False)
-    test_labels: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 # The metric columns of the CSV and JSON renderings, in this order.
@@ -62,12 +58,23 @@ class Leaderboard:
     metadata: dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchOptions:
+    """The options of one run, with their defaults; bad values raise ValueError."""
+
     seed: int = 42
     test_fraction: float = 0.2
-    folds: int = 0
+    folds: int = 0  # 0 = holdout only; k >= 2 adds k-fold cross-validation
     workers: int = 1
+
+    def __post_init__(self):
+        validated_seed(self.seed)
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError("test_fraction must be in (0, 1)")
+        if self.folds != 0 and self.folds < 2:
+            raise ValueError("folds must be 0 or at least 2")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 def run_benchmark(
@@ -79,24 +86,18 @@ def run_benchmark(
     """Fit each model on the train split, score the test split, rank the results."""
     options = options or BenchOptions()
     names = resolve_model_names(model_names)
-    if not names:
-        raise ValueError("empty model set")
     n_classes = matrix.n_classes
     test_labels = matrix.labels[plan.test_indices]
-    fold_assignment = plan.fold_assignment
-    if options.folds >= 2 and fold_assignment is None:
-        fold_assignment = k_folds(matrix.labels, options.folds, options.seed)
+    folds = k_folds(matrix.labels, options.folds, options.seed) if options.folds else None
 
     def evaluate(name: str) -> EvalReport:
         def new_model():
             return make_model(name, seed=options.seed)
 
         try:
-            model, raw_scores, predicted, elapsed = fit_and_score(
+            scores, predicted, elapsed = fit_and_score(
                 new_model, matrix, plan.train_indices, plan.test_indices
             )
-            scores = np.zeros((raw_scores.shape[0], n_classes), dtype=np.float64)
-            scores[:, model.classes_] = raw_scores
             cm = confusion(test_labels, predicted, n_classes)
             report = EvalReport(
                 model=name,
@@ -107,14 +108,12 @@ def run_benchmark(
                 f1_macro=f1(cm, "macro"),
                 time_taken_s=elapsed,
                 confusion=cm.counts.tolist(),
-                scores=scores,
-                test_labels=test_labels,
             )
-            if options.folds >= 2:
+            if folds is not None:
                 report.cv = cv_evaluate(
                     new_model,
                     matrix,
-                    fold_assignment,
+                    folds,
                     lambda y_true, y_pred: 1.0
                     - accuracy(confusion(y_true, y_pred, n_classes)),
                 )
@@ -139,11 +138,9 @@ def run_benchmark(
     return Leaderboard(reports=reports, metadata=metadata)
 
 
-def macro_auc(y_true, scores: np.ndarray) -> float:
+def macro_auc(y_true, scores) -> float:
     """Unweighted mean of one-vs-rest AUCs over classes present in y_true."""
-    present = np.unique(np.asarray(y_true))
-    aucs = [roc_curve(y_true, scores, int(c)).auc for c in present]
-    return float(np.mean(aucs))
+    return roc_curves(y_true, scores).macro_auc
 
 
 def fingerprint(matrix: FeatureMatrix) -> dict:
@@ -157,6 +154,8 @@ def resolve_model_names(model_names) -> list[str]:
     if model_names == "all" or model_names is None:
         return list(MODEL_NAMES)
     names = list(model_names)
+    if not names:
+        raise ValueError("empty model set: name at least one model")
     unknown = [n for n in names if n not in MODEL_NAMES]
     if unknown:
         raise ValueError(f"unknown model name(s): {', '.join(unknown)}")
@@ -196,41 +195,22 @@ def render(leaderboard: Leaderboard, fmt: str = "table") -> str:
 
 
 def _render_table(leaderboard: Leaderboard) -> str:
-    rows = []
+    rows = [_TABLE_COLUMNS]
     for r in leaderboard.reports:
         if r.status != "ok":
             rows.append([r.model, r.status, "", "", "", ""])
             continue
-        rows.append(
-            [
-                r.model,
-                f"{r.accuracy:.2f}",
-                f"{r.balanced_accuracy:.2f}",
-                f"{r.roc_auc_macro:.2f}",
-                f"{r.f1_weighted:.2f}",
-                f"{r.time_taken_s:.2f}",
-            ]
-        )
-    widths = [
-        max(len(_TABLE_COLUMNS[i]), *(len(row[i]) for row in rows), 0)
-        if rows
-        else len(_TABLE_COLUMNS[i])
-        for i in range(len(_TABLE_COLUMNS))
-    ]
-    lines = [
+        values = (r.accuracy, r.balanced_accuracy, r.roc_auc_macro, r.f1_weighted, r.time_taken_s)
+        rows.append([r.model, *(f"{v:.2f}" for v in values)])
+    widths = [max(len(row[i]) for row in rows) for i in range(len(_TABLE_COLUMNS))]
+    return "".join(
         "  ".join(
-            name.ljust(widths[i]) if i == 0 else name.rjust(widths[i])
-            for i, name in enumerate(_TABLE_COLUMNS)
+            cell.ljust(width) if i == 0 else cell.rjust(width)
+            for i, (cell, width) in enumerate(zip(row, widths))
         )
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(
-                cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
-                for i, cell in enumerate(row)
-            )
-        )
-    return "\n".join(lines) + "\n"
+        + "\n"
+        for row in rows
+    )
 
 
 def _render_csv(leaderboard: Leaderboard) -> str:

@@ -1,6 +1,6 @@
 """From-scratch classifier portfolio behind one fit/predict/score interface."""
 
-from flowbench.classifiers.base import Classifier, NotFittedError
+from flowbench.classifiers.base import Classifier, NotFittedError, validated_seed
 from flowbench.classifiers.bayes import BernoulliNBModel, GaussianNBModel
 from flowbench.classifiers.dummy import DummyModel
 from flowbench.classifiers.ensemble import (
@@ -67,4 +67,5 @@ __all__ = [
     "margin",
     "save_model",
     "tree_scores",
+    "validated_seed",
 ]

@@ -11,6 +11,13 @@ class NotFittedError(RuntimeError):
     """predict or predict_scores was called before fit."""
 
 
+def validated_seed(seed) -> int:
+    """The one seed rule of every model and run: a non-negative integer."""
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return seed
+
+
 class Classifier:
     """Base contract: fit(X, y), then predict / predict_scores.
 

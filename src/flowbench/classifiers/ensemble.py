@@ -8,7 +8,8 @@ distributions of all trees and takes the argmax.
 
 from __future__ import annotations
 
-from flowbench.classifiers.tree import DecisionTreeModel, _validated_seed
+from flowbench.classifiers.base import validated_seed
+from flowbench.classifiers.tree import DecisionTreeModel
 
 
 class _TreeEnsemble(DecisionTreeModel):
@@ -33,7 +34,7 @@ class _TreeEnsemble(DecisionTreeModel):
         self.max_features = (
             self._default_features if max_features is None else max_features
         )
-        self.seed = _validated_seed(seed)
+        self.seed = validated_seed(seed)
 
 
 class BaggingModel(_TreeEnsemble):

@@ -65,5 +65,5 @@ def load_model(path) -> ModelArtifact:
             scaler=Scaler.from_json_dict(scaler_doc) if scaler_doc else None,
             column_names=list(document["column_names"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc

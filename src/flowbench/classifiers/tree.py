@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowbench.classifiers.base import Classifier
+from flowbench.classifiers.base import Classifier, validated_seed
 
 
 def gini(dist) -> float:
@@ -203,12 +203,6 @@ def _best_split(rows, thresholds, left, counts, min_decrease):
     return (int(rows[best]), float(thresholds[best])) if admissible else None
 
 
-def _validated_seed(seed) -> int:
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    return seed
-
-
 class DecisionTreeModel(Classifier):
     """Greedy CART classifier with exhaustive Gini split search.
 
@@ -299,4 +293,4 @@ class ExtraTreeModel(DecisionTreeModel):
         seed: int = 0,
     ):
         super().__init__(max_depth, min_samples_split, min_impurity_decrease)
-        self.seed = _validated_seed(seed)
+        self.seed = validated_seed(seed)

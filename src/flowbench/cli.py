@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from flowbench.bench import BenchOptions, render, resolve_model_names, run_benchmark
@@ -19,6 +20,7 @@ from flowbench.classifiers import (
     load_model,
     make_model,
     save_model,
+    validated_seed,
 )
 from flowbench.features import encode_records, fit_transform, stratified_split
 from flowbench.flow_data import (
@@ -59,6 +61,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """The --seed type of every subcommand: the seed rule of models and BenchOptions."""
+    try:
+        return validated_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError("seed must be a non-negative integer") from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="flowbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -70,9 +80,12 @@ def build_parser() -> _Parser:
             help="input CSV path (default: $UGRANSOME_DATA)",
         )
 
+    def add_seed(p):
+        p.add_argument("--seed", type=_seed, default=BenchOptions.seed)
+
     def add_split(p):
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--test-fraction", type=float, default=0.2)
+        add_seed(p)
+        p.add_argument("--test-fraction", type=float, default=BenchOptions.test_fraction)
         p.add_argument("--no-scale", action="store_true", help="skip z-score scaling")
 
     def add_output(p, formats):
@@ -92,8 +105,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="train and rank the model portfolio")
     add_data(p)
     add_split(p)
-    p.add_argument("--folds", type=int, default=0, help="0 = holdout only")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--folds", type=int, default=BenchOptions.folds, help="0 = holdout only")
+    p.add_argument("--workers", type=int, default=BenchOptions.workers)
     p.add_argument("--models", default="all", help="comma-separated names or 'all'")
     add_output(p, ["table", "csv", "json"])
     p.set_defaults(handler=_cmd_bench)
@@ -108,7 +121,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="fit one model on the whole file and save it")
     add_data(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    add_seed(p)
     p.add_argument("--no-scale", action="store_true")
     p.add_argument("--output", required=True, help="model JSON path")
     p.set_defaults(handler=_cmd_train)
@@ -121,7 +134,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate schema-conformant synthetic data")
     p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    add_seed(p)
     p.add_argument("--signal-strength", type=float, default=1.0)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=_cmd_synth)
@@ -153,27 +166,19 @@ def _load_records(path):
     return parse_dataset(path)
 
 
-def _bench_options(args, requested) -> tuple[BenchOptions, list[str]]:
-    """Validate the split flags and the requested model names of bench and roc."""
-    options = BenchOptions(
-        seed=args.seed,
-        test_fraction=args.test_fraction,
-        folds=getattr(args, "folds", 0),  # roc takes neither --folds nor --workers
-        workers=getattr(args, "workers", 1),
-    )
-    if not 0.0 < options.test_fraction < 1.0:
-        raise _UsageError("--test-fraction must be in (0, 1)")
-    if options.folds != 0 and options.folds < 2:
-        raise _UsageError("--folds must be 0 or at least 2")
-    if options.workers < 1:
-        raise _UsageError("--workers must be at least 1")
+def _split_run(args, requested):
+    """Options, model names, encoded data and holdout split of bench and roc."""
     try:
+        options = BenchOptions(
+            **{f.name: getattr(args, f.name) for f in fields(BenchOptions) if f.name in args}
+        )
         models = resolve_model_names(requested)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if not models:
-        raise _UsageError("--models must name at least one model")
-    return options, models
+    records = _load_records(args.data)
+    matrix = fit_transform(records, scale=not args.no_scale)
+    plan = stratified_split(matrix.labels, options.test_fraction, options.seed)
+    return options, models, matrix, plan
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -217,22 +222,16 @@ def _cmd_bench(args) -> int:
     requested = args.models
     if requested != "all":
         requested = [m.strip() for m in requested.split(",") if m.strip()]
-    options, models = _bench_options(args, requested)
-    records = _load_records(args.data)
-    matrix = fit_transform(records, scale=not args.no_scale)
-    plan = stratified_split(matrix.labels, options.test_fraction, options.seed)
+    options, models, matrix, plan = _split_run(args, requested)
     leaderboard = run_benchmark(matrix, plan, models, options)
     _emit(render(leaderboard, args.format), args.output)
     return EXIT_OK
 
 
 def _cmd_roc(args) -> int:
-    options, (name,) = _bench_options(args, [args.model])
-    records = _load_records(args.data)
-    matrix = fit_transform(records, scale=not args.no_scale)
-    plan = stratified_split(matrix.labels, options.test_fraction, options.seed)
+    options, (name,), matrix, plan = _split_run(args, [args.model])
     try:
-        _, scores, _, _ = fit_and_score(
+        scores, _, _ = fit_and_score(
             lambda: make_model(name, seed=options.seed),
             matrix,
             plan.train_indices,

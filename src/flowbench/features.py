@@ -74,11 +74,10 @@ class FeatureMatrix:
 
 @dataclass
 class SplitPlan:
-    """Deterministic holdout partition, optionally carrying a k-fold assignment."""
+    """Deterministic holdout partition."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
-    fold_assignment: np.ndarray | None = None
 
 
 def fit_transform(records: Sequence[FlowRecord], scale: bool = False) -> FeatureMatrix:

@@ -85,11 +85,19 @@ class FlowRecord(NamedTuple):
     prediction: ThreatClass
 
 
+# Integers up to this magnitude are exact in float64, the encoded feature type.
+MAX_EXACT_INTEGER = 2**53
+
+
 def _integer(cell: str) -> int:
     try:
-        return int(cell)
+        value = int(cell)
     except ValueError:
         raise ValueError(f"non-integer value {cell!r}") from None
+    # A cell of at most 15 characters is below 10**15 in magnitude, the fast path.
+    if len(cell) > 15 and abs(value) > MAX_EXACT_INTEGER:
+        raise ValueError("integer magnitude above 2**53")
+    return value
 
 
 def _amount(cell: str) -> int:

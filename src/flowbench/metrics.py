@@ -96,23 +96,20 @@ def accuracy(cm: ConfusionMatrix) -> float:
 
 
 def balanced_accuracy(cm: ConfusionMatrix) -> float:
-    """Unweighted mean of per-class recalls; every class must appear in truth."""
+    """Unweighted mean of the recalls of the classes present in the true labels."""
     if cm.total == 0:
         raise ValueError("empty confusion matrix")
     support = cm.counts.sum(axis=1)
-    if (support == 0).any():
-        missing = int(np.flatnonzero(support == 0)[0])
-        raise ValueError(f"class {missing} absent from true labels")
-    recalls = np.diag(cm.counts) / support
-    return float(recalls.mean())
+    present = support > 0
+    return float((np.diag(cm.counts)[present] / support[present]).mean())
 
 
 def f1(cm: ConfusionMatrix, averaging: str = "weighted") -> float:
     """Averaged harmonic mean of per-class precision and recall.
 
     Per-class F1 is 0 when precision + recall is 0. "macro" averages equally
-    and requires every class in the true labels; "weighted" weights by
-    true-class support.
+    over the classes present in the true or the predicted labels; "weighted"
+    weights by true-class support.
     """
     if averaging not in ("macro", "weighted"):
         raise ValueError("averaging must be 'macro' or 'weighted'")
@@ -129,10 +126,7 @@ def f1(cm: ConfusionMatrix, averaging: str = "weighted") -> float:
         2.0 * precision * recall, pr, out=np.zeros_like(diag), where=pr > 0
     )
     if averaging == "macro":
-        if (support == 0).any():
-            missing = int(np.flatnonzero(support == 0)[0])
-            raise ValueError(f"class {missing} absent from true labels")
-        return float(per_class.mean())
+        return float(per_class[(support > 0) | (predicted > 0)].mean())
     return float((per_class * support).sum() / support.sum())
 
 
@@ -167,12 +161,12 @@ def roc_curve(y_true, scores: np.ndarray, positive_class: int) -> RocPoints:
 
 
 def roc_curves(y_true, scores: np.ndarray) -> RocCurve:
-    """One-vs-rest ROC for every score column, plus the macro AUC."""
-    k = scores.shape[1]
-    per_class = [roc_curve(y_true, scores, c) for c in range(k)]
+    """One-vs-rest ROC of each class in y_true (score column = class code), plus the macro AUC."""
+    classes = [int(c) for c in np.unique(np.asarray(y_true))]
+    per_class = [roc_curve(y_true, scores, c) for c in classes]
     aucs = [entry.auc for entry in per_class]
     return RocCurve(
-        classes=list(range(k)),
+        classes=classes,
         per_class=per_class,
         aucs=aucs,
         macro_auc=float(np.mean(aucs)),
@@ -184,9 +178,9 @@ def fit_and_score(
 ):
     """Fit a fresh model on the `train` rows and score the `test` rows.
 
-    Both index sets select from `matrix.rows_for(model)`. Returns the fitted
-    model, its raw scores (one column per class seen in fit), the predicted
-    labels and the seconds spent fitting and scoring.
+    Both index sets select from `matrix.rows_for(model)`. Returns the scores,
+    one column per class code (a class the fit did not see scores 0), the
+    predicted labels and the seconds spent fitting and scoring.
     """
     model = model_factory()
     rows = matrix.rows_for(model)
@@ -194,7 +188,10 @@ def fit_and_score(
     model.fit(rows[train], matrix.labels[train])
     scores = model.predict_scores(rows[test])
     predicted = model.labels_from_scores(scores)
-    return model, scores, predicted, time.perf_counter() - started
+    elapsed = time.perf_counter() - started
+    by_code = np.zeros((scores.shape[0], matrix.n_classes))
+    by_code[:, model.classes_] = scores
+    return by_code, predicted, elapsed
 
 
 def cv_evaluate(
@@ -210,7 +207,7 @@ def cv_evaluate(
     for j in range(k):
         held_out = folds == j
         try:
-            _, _, predicted, _ = fit_and_score(model_factory, matrix, ~held_out, held_out)
+            _, predicted, _ = fit_and_score(model_factory, matrix, ~held_out, held_out)
         except Exception as exc:
             raise RuntimeError(f"fold {j}: {exc}") from exc
         errors.append(float(error_fn(matrix.labels[held_out], predicted)))

@@ -99,8 +99,10 @@ def test_report_metrics_recompute_from_stored_state(bench_setup):
     matrix, plan = bench_setup
     leaderboard = run_benchmark(matrix, plan, FAST_MODELS, BenchOptions(seed=42))
     from flowbench.bench import macro_auc
-    from flowbench.metrics import ConfusionMatrix
+    from flowbench.classifiers import make_model
+    from flowbench.metrics import ConfusionMatrix, fit_and_score
 
+    test_labels = matrix.labels[plan.test_indices]
     for r in leaderboard.reports:
         counts = np.asarray(r.confusion)
         cm = ConfusionMatrix(counts=counts, classes=list(range(counts.shape[0])))
@@ -108,7 +110,13 @@ def test_report_metrics_recompute_from_stored_state(bench_setup):
         assert abs(balanced_accuracy(cm) - r.balanced_accuracy) < 1e-12
         assert abs(f1(cm, "weighted") - r.f1_weighted) < 1e-12
         assert abs(f1(cm, "macro") - r.f1_macro) < 1e-12
-        assert abs(macro_auc(r.test_labels, r.scores) - r.roc_auc_macro) < 1e-12
+        scores, _, _ = fit_and_score(
+            lambda: make_model(r.model, seed=42),
+            matrix,
+            plan.train_indices,
+            plan.test_indices,
+        )
+        assert abs(macro_auc(test_labels, scores) - r.roc_auc_macro) < 1e-12
 
 
 def test_model_failure_becomes_error_row():
@@ -154,9 +162,6 @@ def test_benchmark_deterministic_across_runs_and_workers(bench_setup):
 
 def test_cv_attached_when_folds_requested(bench_setup):
     matrix, plan = bench_setup
-    from flowbench.features import k_folds
-
-    plan.fold_assignment = k_folds(matrix.labels, 3, seed=42)
     leaderboard = run_benchmark(
         matrix, plan, ["decision_tree", "dummy"], BenchOptions(seed=42, folds=3)
     )
@@ -165,7 +170,6 @@ def test_cv_attached_when_folds_requested(bench_setup):
         assert r.cv.k == 3
         assert len(r.cv.fold_errors) == 3
         assert r.cv.cv_error == pytest.approx(np.mean(r.cv.fold_errors), abs=1e-12)
-    plan.fold_assignment = None
 
 
 def test_render_empty_leaderboard_is_header_only():

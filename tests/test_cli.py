@@ -266,3 +266,84 @@ def test_output_files_are_written(synth_csv, tmp_path):
     ])
     assert code == EXIT_OK
     assert out.read_text().startswith("model,status,")
+
+
+def _two_class_csv(synth_csv, tmp_path, tokens):
+    """The rows of the synthetic file whose label is one of `tokens`."""
+    header, *rows = synth_csv.read_text().splitlines()
+    kept = [row for row in rows if row.rsplit(",", 1)[1] in tokens]
+    path = tmp_path / ("_".join(tokens) + ".csv")
+    path.write_text("\n".join([header, *kept]) + "\n")
+    return path
+
+
+def test_roc_without_class_a_sweeps_the_classes_present(synth_csv, tmp_path, capsys):
+    path = _two_class_csv(synth_csv, tmp_path, ("A", "SS"))
+    assert main(["roc", "--data", str(path), "--model", "gaussian_nb"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert {line.split(",")[0] for line in lines[1:]} == {"A", "SS"}
+
+
+def test_bench_without_class_a_ranks_every_model(synth_csv, tmp_path, capsys):
+    path = _two_class_csv(synth_csv, tmp_path, ("S", "SS"))
+    code = main(["bench", "--data", str(path), "--format", "json",
+                 "--models", "decision_tree,knn,gaussian_nb,ridge,dummy"])
+    assert code == EXIT_OK
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["status"] for r in reports] == ["ok"] * 5
+    # Class A (code 0) has no row, so it has no recall to average.
+    dummy = next(r for r in reports if r["model"] == "dummy")
+    assert dummy["balanced_accuracy"] == 0.5
+    assert dummy["confusion"][0] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("column", ["Time", "USD"])
+@pytest.mark.parametrize("command", ["correlate", "bench"])
+def test_integer_beyond_float64_precision_is_data_error(column, command, tmp_path, capsys):
+    header, *rows = csv_bytes(FIGURE_ROW, FIGURE_ROW).decode().splitlines()
+    position = header.split(",").index(column)
+    cells = rows[0].split(",")
+    cells[position] = str(10**400)
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join([header, ",".join(cells), rows[1]]) + "\n")
+    assert main([command, "--data", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"row 1: {column}: integer magnitude above 2**53" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, hyperparameter, value",
+    [("random_forest", "n_trees", 0), ("extra_tree", "seed", -1)],
+)
+def test_model_file_rejected_by_constructor_is_model_error(
+    name, hyperparameter, value, synth_csv, tmp_path, capsys
+):
+    model_file = tmp_path / "model.json"
+    assert main(["train", "--data", str(synth_csv), "--model", name,
+                 "--output", str(model_file)]) == EXIT_OK
+    document = json.loads(model_file.read_text())
+    document["hyperparameters"][hyperparameter] = value
+    model_file.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["predict", "--data", str(synth_csv),
+                 "--model-file", str(model_file)]) == EXIT_MODEL
+    assert capsys.readouterr().err.startswith("model error: malformed model document")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["bench", "--models", "knn"],
+        ["roc", "--model", "knn"],
+        ["train", "--model", "knn", "--output", "model.json"],
+        ["synth", "--rows", "5"],
+    ],
+)
+def test_negative_seed_is_usage_error_in_every_subcommand(command, synth_csv, capsys):
+    argv = [*command, "--seed", "-1"]
+    if command[0] != "synth":
+        argv += ["--data", str(synth_csv)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: argument --seed: seed must be a non-negative integer\n"

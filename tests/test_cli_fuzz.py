@@ -1,0 +1,134 @@
+"""Property-based CLI fuzzing: legal input files never crash a subcommand.
+
+Hypothesis draws small valid CSVs: any subset of the classes, duplicated
+rows, constant columns, reordered headers, an unnamed index column, CRLF line
+ends, a byte-order mark, and integer cells at 0, at 2**53 and beyond it. Each
+file goes through every subcommand in-process. The run is derandomized and
+keeps no example database, so it is the same on every machine.
+"""
+
+import contextlib
+import csv
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from flowbench.classifiers import MODEL_NAMES, make_model
+from flowbench.cli import EXIT_OK, main
+from flowbench.features import fit_transform
+from flowbench.flow_data import (
+    CANONICAL_COLUMNS,
+    MAX_EXACT_INTEGER,
+    PROTOCOL_VOCABULARY,
+    parse_dataset,
+)
+
+AMOUNT = st.sampled_from([0, 1, MAX_EXACT_INTEGER]) | st.integers(0, 10**6)
+CELLS = {
+    "Time": AMOUNT,
+    "Protocol": st.sampled_from(PROTOCOL_VOCABULARY),
+    "Clusters": st.sampled_from([0, -MAX_EXACT_INTEGER, MAX_EXACT_INTEGER])
+    | st.integers(-3, 12),
+    "BTC": AMOUNT,
+    "USD": AMOUNT,
+    "Netflow_Bytes": AMOUNT,
+    "Port": st.integers(0, 65535),
+    "Prediction": st.sampled_from(["A", "S", "SS"]),
+}
+TEXT = st.text(alphabet="aZ09 ,\"'-_.é", max_size=4)
+INTEGER_COLUMNS = ["Time", "Clusters", "BTC", "USD", "Netflow_Bytes", "Port"]
+# One file in four gets a cell beyond 2**53, which the parser rejects.
+BEYOND = [None] * 6 + [MAX_EXACT_INTEGER + 1, 10**400]
+
+
+@st.composite
+def flow_files(draw):
+    """(file bytes, number of classes) of one small CSV the parser may accept."""
+    classes = draw(st.lists(st.sampled_from(["A", "S", "SS"]), min_size=1, max_size=3, unique=True))
+    # A class with one row fails the split; most files give each class more.
+    labels = [c for c in classes for _ in range(draw(st.sampled_from([2, 3, 4, 2, 3, 4, 1])))]
+    labels = draw(st.permutations(labels))
+    constant = draw(st.sets(st.sampled_from(CANONICAL_COLUMNS[:-1])))
+    rows = [{c: draw(CELLS.get(c, TEXT)) for c in CANONICAL_COLUMNS} for _ in labels]
+    for row, label in zip(rows, labels):
+        row["Prediction"] = label
+    n = len(rows)
+    for column in constant:
+        for row in rows:
+            row[column] = rows[0][column]
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    huge = draw(st.sampled_from(BEYOND))
+    if huge is not None:
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.sampled_from(INTEGER_COLUMNS))] = huge
+    header = draw(st.permutations(CANONICAL_COLUMNS))
+    index = draw(st.booleans())
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow([""] * index + list(header))
+    for i, row in enumerate(rows):
+        writer.writerow([i] * index + [row[c] for c in header])
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + buffer.getvalue()).encode("utf-8"), len({r["Prediction"] for r in rows})
+
+
+def run(*argv):
+    """Exit code and stdout of one in-process CLI call that printed no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    flow_files(),
+    st.sampled_from(MODEL_NAMES),
+    st.booleans(),
+)
+def test_every_subcommand_survives_legal_files(file, model, no_scale):
+    data, n_classes = file
+    scale = ["--no-scale"] * no_scale
+    with tempfile.TemporaryDirectory() as tmp:
+        path, model_file = Path(tmp) / "flows.csv", Path(tmp) / "model.json"
+        path.write_bytes(data)
+        run("inspect", "--data", path, "--format", "json")
+        run("correlate", "--data", path)
+        run("roc", "--data", path, "--model", model, *scale)
+
+        code, out = run("bench", "--data", path, "--format", "csv", *scale)
+        if code == EXIT_OK and n_classes >= 2:
+            assert ",ok," in out, out
+
+        code, _ = run("train", "--data", path, "--model", model, "--output", model_file, *scale)
+        if code == EXIT_OK:
+            code, out = run("predict", "--data", path, "--model-file", model_file)
+            assert code == EXIT_OK
+            matrix = fit_transform(parse_dataset(path), scale=not no_scale)
+            fitted = make_model(model, seed=42)
+            fitted.fit(matrix.rows_for(fitted), matrix.labels)
+            expected = fitted.predict(matrix.rows_for(fitted))
+            got = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+            np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 30), st.integers(0, 2**64), st.floats(0.0, 1.0))
+def test_synth_output_parses(rows, seed, signal):
+    code, out = run("synth", "--rows", rows, "--seed", seed, "--signal-strength", signal)
+    assert code == EXIT_OK
+    assert len(parse_dataset(out.encode("utf-8"))) == rows

@@ -4,6 +4,7 @@ import pytest
 
 from flowbench.flow_data import (
     CANONICAL_COLUMNS,
+    COLUMN_FIELDS,
     COLUMNS,
     FlowRecord,
     RowError,
@@ -110,6 +111,12 @@ def _with_cells(**cells: str) -> str:
             (c, "five", f"{c}: non-integer value 'five'")
             for c in ("Time", "Clusters", "BTC", "USD", "Netflow_Bytes", "Port")
         ],
+        *[
+            (c, str(v), f"{c}: integer magnitude above 2**53")
+            for c in ("Time", "USD")
+            for v in (2**53 + 1, 10**400)
+        ],
+        ("Clusters", str(-(2**53) - 1), "Clusters: integer magnitude above 2**53"),
         ("Port", "-1", "Port: value -1 outside 0..65535"),
         ("Port", "65536", "Port: value 65536 outside 0..65535"),
         ("Protocol", "GRE", "Protocol: unknown value 'GRE'"),
@@ -120,6 +127,15 @@ def test_row_error_message_names_the_bad_cell(column, value, message):
     with pytest.raises(RowError) as info:
         parse_dataset(csv_bytes(_with_cells(**{column: value})))
     assert str(info.value) == f"row 1: {message}"
+
+
+def test_integers_up_to_2_to_the_53_parse_exactly():
+    for column in ("Time", "USD", "Clusters"):
+        for value in (2**53, "+000000000000000000000007"):
+            (record,) = parse_dataset(csv_bytes(_with_cells(**{column: str(value)})))
+            assert getattr(record, COLUMN_FIELDS[column]) == int(value)
+    (record,) = parse_dataset(csv_bytes(_with_cells(Clusters=str(-(2**53)))))
+    assert record.clusters == -(2**53)
 
 
 def test_row_error_names_the_first_bad_cell_in_header_order():

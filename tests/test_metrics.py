@@ -122,13 +122,34 @@ def test_constant_predictor_balanced_accuracy_is_one_over_k(rng):
         assert balanced_accuracy(cm) == pytest.approx(1 / k, abs=1e-12)
 
 
-def test_balanced_accuracy_requires_all_classes_in_truth():
+def test_balanced_accuracy_and_macro_f1_average_over_classes_present():
     cm = confusion([0, 0], [0, 1], 2)
-    with pytest.raises(ValueError, match="absent"):
-        balanced_accuracy(cm)
-    with pytest.raises(ValueError, match="absent"):
-        f1(cm, "macro")
-    f1(cm, "weighted")  # weighted averaging tolerates missing classes
+    # Recall of class 0 only: class 1 never occurs in the truth.
+    assert balanced_accuracy(cm) == 0.5
+    # Class 1 is predicted, so it counts with F1 0: mean(2/3, 0).
+    assert f1(cm, "macro") == pytest.approx(1 / 3, abs=1e-15)
+    assert f1(cm, "weighted") == pytest.approx(2 / 3, abs=1e-15)
+    # A class in neither the truth nor the predictions drops out of both.
+    wide = confusion([1, 1, 2, 2], [1, 2, 2, 2], 3)
+    assert balanced_accuracy(wide) == 0.75
+    assert f1(wide, "macro") == pytest.approx((2 / 3 + 0.8) / 2, abs=1e-15)
+
+
+def test_present_class_averages_match_loop_oracle(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        y = rng.integers(0, 4, size=n)
+        p = rng.integers(0, 4, size=n)
+        cm = confusion(y, p, 5)
+        truth = sorted(set(y.tolist()))
+        recalls = [np.mean(p[y == c] == c) for c in truth]
+        assert balanced_accuracy(cm) == pytest.approx(np.mean(recalls), abs=1e-12)
+        scores = []
+        for c in sorted(set(y.tolist()) | set(p.tolist())):
+            tp = np.sum((y == c) & (p == c))
+            denominator = np.sum(y == c) + np.sum(p == c)
+            scores.append(2 * tp / denominator)
+        assert f1(cm, "macro") == pytest.approx(np.mean(scores), abs=1e-12)
 
 
 def test_f1_zero_when_precision_and_recall_are_zero():

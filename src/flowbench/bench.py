@@ -138,8 +138,13 @@ def run_benchmark(
     return Leaderboard(reports=reports, metadata=metadata)
 
 
-def macro_auc(y_true, scores) -> float:
-    """Unweighted mean of one-vs-rest AUCs over classes present in y_true."""
+def macro_auc(y_true, scores) -> float | None:
+    """Unweighted mean of one-vs-rest AUCs over classes present in y_true.
+
+    None when y_true holds a single class: no class then has a complement.
+    """
+    if len(set(y_true.tolist())) < 2:
+        return None
     return roc_curves(y_true, scores).macro_auc
 
 
@@ -201,7 +206,7 @@ def _render_table(leaderboard: Leaderboard) -> str:
             rows.append([r.model, r.status, "", "", "", ""])
             continue
         values = (r.accuracy, r.balanced_accuracy, r.roc_auc_macro, r.f1_weighted, r.time_taken_s)
-        rows.append([r.model, *(f"{v:.2f}" for v in values)])
+        rows.append([r.model, *("" if v is None else f"{v:.2f}" for v in values)])
     widths = [max(len(row[i]) for row in rows) for i in range(len(_TABLE_COLUMNS))]
     return "".join(
         "  ".join(

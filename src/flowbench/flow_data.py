@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -89,11 +90,33 @@ class FlowRecord(NamedTuple):
 MAX_EXACT_INTEGER = 2**53
 
 
+# Messages quote at most this many characters of a bad cell.
+SHOWN_CELL_CHARS = 40
+# The base-10 literals int() parses, whatever their length.
+_INTEGER_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def _shown(cell: str) -> str:
+    """The repr of a bad cell for a message: the cell, or a prefix of a long one."""
+    if len(cell) <= SHOWN_CELL_CHARS:
+        return repr(cell)
+    return f"{cell[:SHOWN_CELL_CHARS]!r}... ({len(cell)} characters)"
+
+
 def _integer(cell: str) -> int:
     try:
         value = int(cell)
     except ValueError:
-        raise ValueError(f"non-integer value {cell!r}") from None
+        if not _INTEGER_LITERAL.fullmatch(cell):
+            raise ValueError(f"non-integer value {_shown(cell)}") from None
+        # int() refuses a literal of more than sys.get_int_max_str_digits()
+        # digits, leading zeros included. Decimal has no such limit; it is
+        # imported on this rare path only, to keep it out of every run.
+        from decimal import Decimal
+
+        value = Decimal(cell)
+        if abs(value) <= MAX_EXACT_INTEGER:
+            return int(value)
     # A cell of at most 15 characters is below 10**15 in magnitude, the fast path.
     if len(cell) > 15 and abs(value) > MAX_EXACT_INTEGER:
         raise ValueError("integer magnitude above 2**53")
@@ -116,7 +139,7 @@ def _port(cell: str) -> int:
 
 def _protocol(cell: str) -> str:
     if cell not in PROTOCOL_VOCABULARY:
-        raise ValueError(f"unknown value {cell!r}")
+        raise ValueError(f"unknown value {_shown(cell)}")
     return sys.intern(cell)
 
 
@@ -124,7 +147,7 @@ def _label(cell: str) -> ThreatClass:
     try:
         return _TOKEN_TO_CLASS[cell]
     except KeyError:
-        raise ValueError(f"unknown label {cell!r}") from None
+        raise ValueError(f"unknown label {_shown(cell)}") from None
 
 
 # Text cells repeat a small vocabulary, so one shared copy of each saves memory.

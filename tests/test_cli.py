@@ -297,6 +297,25 @@ def test_bench_without_class_a_ranks_every_model(synth_csv, tmp_path, capsys):
     assert dummy["confusion"][0] == [0, 0, 0]
 
 
+def test_bench_on_one_class_ranks_every_model_without_roc_auc(synth_csv, tmp_path, capsys):
+    # With one class in the holdout no class has a complement, so ROC AUC
+    # is undefined; the other metrics still rank the models.
+    path = _two_class_csv(synth_csv, tmp_path, ("S",))
+    models = "decision_tree,bagging,knn,ridge,dummy"
+    assert main(["bench", "--data", str(path), "--format", "json", "--models", models]) == EXIT_OK
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["status"] for r in reports] == ["ok"] * 5
+    assert all(r["roc_auc_macro"] is None and r["accuracy"] == 1.0 for r in reports)
+    assert main(["bench", "--data", str(path), "--format", "csv", "--models", models]) == EXIT_OK
+    header, *rows = capsys.readouterr().out.splitlines()
+    column = header.split(",").index("roc_auc_macro")
+    assert [row.split(",")[column] for row in rows] == [""] * 5
+    assert main(["bench", "--data", str(path), "--models", models]) == EXIT_OK
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert "ROC AUC" in header and len(rows) == 5
+    assert all("error" not in row for row in rows)
+
+
 @pytest.mark.parametrize("column", ["Time", "USD"])
 @pytest.mark.parametrize("command", ["correlate", "bench"])
 def test_integer_beyond_float64_precision_is_data_error(column, command, tmp_path, capsys):

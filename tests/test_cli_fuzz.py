@@ -50,7 +50,7 @@ BEYOND = [None] * 6 + [MAX_EXACT_INTEGER + 1, 10**400]
 
 @st.composite
 def flow_files(draw):
-    """(file bytes, number of classes) of one small CSV the parser may accept."""
+    """The bytes of one small CSV the parser may accept."""
     classes = draw(st.lists(st.sampled_from(["A", "S", "SS"]), min_size=1, max_size=3, unique=True))
     # A class with one row fails the split; most files give each class more.
     labels = [c for c in classes for _ in range(draw(st.sampled_from([2, 3, 4, 2, 3, 4, 1])))]
@@ -75,7 +75,7 @@ def flow_files(draw):
     for i, row in enumerate(rows):
         writer.writerow([i] * index + [row[c] for c in header])
     bom = "\ufeff" if draw(st.booleans()) else ""
-    return (bom + buffer.getvalue()).encode("utf-8"), len({r["Prediction"] for r in rows})
+    return (bom + buffer.getvalue()).encode("utf-8")
 
 
 def run(*argv):
@@ -100,8 +100,7 @@ def run(*argv):
     st.sampled_from(MODEL_NAMES),
     st.booleans(),
 )
-def test_every_subcommand_survives_legal_files(file, model, no_scale):
-    data, n_classes = file
+def test_every_subcommand_survives_legal_files(data, model, no_scale):
     scale = ["--no-scale"] * no_scale
     with tempfile.TemporaryDirectory() as tmp:
         path, model_file = Path(tmp) / "flows.csv", Path(tmp) / "model.json"
@@ -111,7 +110,9 @@ def test_every_subcommand_survives_legal_files(file, model, no_scale):
         run("roc", "--data", path, "--model", model, *scale)
 
         code, out = run("bench", "--data", path, "--format", "csv", *scale)
-        if code == EXIT_OK and n_classes >= 2:
+        if code == EXIT_OK:
+            # The holdout split succeeded, so its test side holds a row of
+            # every class: some model must rank, even with a single class.
             assert ",ok," in out, out
 
         code, _ = run("train", "--data", path, "--model", model, "--output", model_file, *scale)

@@ -129,6 +129,28 @@ def test_row_error_message_names_the_bad_cell(column, value, message):
     assert str(info.value) == f"row 1: {message}"
 
 
+def test_row_error_quotes_a_prefix_of_a_long_cell():
+    cases = [
+        # int() refuses literals of more than 4,300 digits outright.
+        ("USD", "1" * 5000, "integer magnitude above 2**53"),
+        ("Clusters", "-" + "9" * 5000, "integer magnitude above 2**53"),
+        ("Time", "12a" * 2000, f"non-integer value {('12a' * 14)[:40]!r}... (6000 characters)"),
+        ("Protocol", "T" * 41, f"unknown value {'T' * 40!r}... (41 characters)"),
+        ("Prediction", "S" * 5000, f"unknown label {'S' * 40!r}... (5000 characters)"),
+    ]
+    for column, value, message in cases:
+        with pytest.raises(RowError) as info:
+            parse_dataset(csv_bytes(_with_cells(**{column: value})))
+        assert str(info.value) == f"row 1: {column}: {message}"
+
+
+def test_integer_padded_past_the_int_digit_limit_parses():
+    for column in ("Time", "USD", "Clusters"):
+        (record,) = parse_dataset(csv_bytes(_with_cells(**{column: "0" * 5000 + "7"})))
+        assert getattr(record, COLUMN_FIELDS[column]) == 7
+        assert type(getattr(record, COLUMN_FIELDS[column])) is int
+
+
 def test_integers_up_to_2_to_the_53_parse_exactly():
     for column in ("Time", "USD", "Clusters"):
         for value in (2**53, "+000000000000000000000007"):

@@ -11,7 +11,7 @@ from flowbench.flow_data import records_to_csv
 from flowbench.synth import generate_records
 
 ROOT = Path(__file__).resolve().parents[1]
-TREE_MODELS = ["decision_tree", "extra_tree", "random_forest"]
+TREE_MODELS = ["decision_tree", "extra_tree", "bagging", "random_forest", "extra_trees"]
 
 
 def test_traced_bench_reports_spans_and_tree_stats(tmp_path):
@@ -37,6 +37,18 @@ def test_traced_bench_reports_spans_and_tree_stats(tmp_path):
     for name in TREE_MODELS:
         stats = document["tree_stats"][name]
         assert stats["nodes"] >= 3 and stats["depth"] >= 1
+    # Every tree model, ensembles included, grows all of a fit's trees in one call.
+    fits = {
+        span["id"]: span["attrs"]["model"]
+        for span in document["spans"]
+        if span["name"].endswith(".fit") and span["attrs"].get("model") in TREE_MODELS
+    }
+    builds = [
+        fits.get(span["parent"])
+        for span in document["spans"]
+        if span["name"] == "classifiers.tree.build_tree"
+    ]
+    assert sorted(builds) == sorted(fits.values()) == sorted(TREE_MODELS)
 
 
 def _run_traced(tmp_path, *command):

@@ -3,14 +3,23 @@ import json
 import numpy as np
 import pytest
 
+from flowbench import bench as bench_module
+from flowbench.bench import BenchOptions, run_benchmark
 from flowbench.classifiers import (
     DecisionTreeModel,
     ExtraTreeModel,
     ExtraTreesModel,
+    MODEL_CLASSES,
     NotFittedError,
+    TreeNode,
     build_tree,
     gini,
+    make_model,
 )
+from flowbench.features import fit_transform, stratified_split
+from flowbench.synth import generate_records
+
+TREE_MODEL_NAMES = ("decision_tree", "extra_tree", "bagging", "random_forest", "extra_trees")
 
 
 def brute_force_best_split(X, y, n_classes):
@@ -273,7 +282,7 @@ def test_extra_tree_draws_from_its_seed_alone(seed):
     X = rng.integers(0, 8, size=(60, 4)).astype(float)
     y = rng.integers(0, 3, size=60)
     model = ExtraTreeModel(seed=seed).fit(X, y)
-    direct = build_tree(X, y, 3, splitter="random", rng=np.random.default_rng(seed))
+    direct = build_tree(X, y, 3, splitter="random", rngs=[np.random.default_rng(seed)])[0]
     assert model.trees_[0].to_dict() == direct.to_dict()
 
 
@@ -302,3 +311,236 @@ def test_leaf_distributions_sum_to_one(rng):
         model.fit(X, y)
         scores = model.predict_scores(X)
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-9)
+
+
+# lockstep growth against the per-tree grower ---------------------------------
+#
+# The grower below is the depth-first, one-tree-at-a-time CART that built
+# every tree before the trees of a fit grew in lockstep, kept verbatim. Every
+# tree of every model must come out bit-identical to it.
+
+
+def _reference_build_tree(
+    X, y, n_classes, *, splitter="best", max_depth=None, min_samples_split=2,
+    min_impurity_decrease=0.0, max_features=None, rng=None,
+):
+    n, d = X.shape
+    columns = np.ascontiguousarray(X.T)
+    onehot = np.eye(n_classes, dtype=np.int64)[y]
+    root = TreeNode()
+    stack = [(root, np.arange(n), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        size = idx.size
+        counts = np.bincount(y[idx], minlength=n_classes)
+        if (
+            size < min_samples_split
+            or int(counts.max()) == size
+            or (max_depth is not None and depth >= max_depth)
+        ):
+            node.dist = counts / size
+            continue
+
+        if max_features is not None and max_features < d:
+            feature_ids = np.sort(rng.choice(d, size=max_features, replace=False))
+        else:
+            feature_ids = np.arange(d)
+
+        values = columns[feature_ids[:, None], idx]
+        labels = onehot[idx]
+        if splitter == "random":
+            candidates = _reference_random_candidates(values, labels, rng)
+        else:
+            candidates = _reference_exhaustive_candidates(values, labels)
+        found = _reference_best_split(*candidates, counts, min_impurity_decrease)
+        if found is None:
+            node.dist = counts / size
+            continue
+
+        row, node.threshold = found
+        node.feature = int(feature_ids[row])
+        node.left = TreeNode()
+        node.right = TreeNode()
+        go_left = values[row] <= node.threshold
+        stack.append((node.right, idx[~go_left], depth + 1))
+        stack.append((node.left, idx[go_left], depth + 1))
+    return root
+
+
+def _reference_exhaustive_candidates(values, labels):
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    rows, cuts = np.nonzero(ordered[:, :-1] != ordered[:, 1:])
+    left = np.cumsum(labels[order], axis=1)[rows, cuts]
+    lower, upper = ordered[rows, cuts], ordered[rows, cuts + 1]
+    return rows, _reference_below_upper((lower + upper) / 2.0, lower, upper), left
+
+
+def _reference_random_candidates(values, labels, rng):
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    (rows,) = np.nonzero(lo != hi)
+    lo, hi = lo[rows], hi[rows]
+    thresholds = _reference_below_upper(rng.uniform(lo, hi), lo, hi)
+    left = (values[rows] <= thresholds[:, None]).astype(np.int64) @ labels
+    return rows, thresholds, left
+
+
+def _reference_below_upper(thresholds, lower, upper):
+    return np.where(thresholds < upper, thresholds, lower)
+
+
+def _reference_best_split(rows, thresholds, left, counts, min_decrease):
+    if rows.size == 0:
+        return None
+    n = int(counts.sum())
+    right = counts - left
+    n_left = left.sum(axis=1)
+    n_right = n - n_left
+    ssq_left = np.einsum("ij,ij->i", left, left)
+    ssq_right = np.einsum("ij,ij->i", right, right)
+    weighted = ((n_left - ssq_left / n_left) + (n_right - ssq_right / n_right)) / n
+    best = int(np.argmin(weighted))
+    ssq_parent = int(np.dot(counts, counts))
+    if min_decrease <= 0.0:
+        nl, nr = int(n_left[best]), int(n_right[best])
+        lhs = n * (int(ssq_left[best]) * nr + int(ssq_right[best]) * nl)
+        admissible = lhs >= ssq_parent * nl * nr
+    else:
+        parent = (n - ssq_parent / n) / n
+        admissible = parent - float(weighted[best]) >= min_decrease
+    return (int(rows[best]), float(thresholds[best])) if admissible else None
+
+
+def _reference_trees(model, X, y):
+    """The tree documents of `model` fit on (X, y), grown one tree at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    classes, codes = np.unique(np.asarray(y, dtype=np.int64), return_inverse=True)
+    n, d = X.shape
+    per_split = model._resolve_max_features(d)
+    docs = []
+    for i in range(model.n_trees):
+        rng = np.random.default_rng([model.seed, i])
+        sample = rng.integers(0, n, size=n) if model.bootstrap else slice(None)
+        root = _reference_build_tree(
+            X[sample],
+            codes[sample],
+            classes.size,
+            splitter=model._splitter,
+            max_depth=model.max_depth,
+            min_samples_split=model.min_samples_split,
+            min_impurity_decrease=model.min_impurity_decrease,
+            max_features=per_split,
+            rng=rng,
+        )
+        docs.append(root.to_dict())
+    return docs
+
+
+def _assert_matches_reference(model, X, y):
+    expected = _reference_trees(model, X, y)
+    model.fit(X, y)
+    assert [root.to_dict() for root in model.trees_] == expected
+
+
+def _random_problem(rng):
+    """A small problem with ties, sometimes constant columns or one class."""
+    n = int(rng.choice([1, 2, *range(3, 61)]))
+    d = int(rng.choice([0, *range(1, 6)]))
+    X = rng.integers(0, int(rng.integers(2, 8)), size=(n, d)).astype(float)
+    if d and rng.random() < 0.3:
+        X[:, rng.integers(d)] = rng.normal()
+    if rng.random() < 0.3:
+        X += rng.normal(size=(n, d))
+    classes = int(rng.integers(1, 5))
+    y = rng.integers(0, classes, size=n) * 3 - 2
+    return X, y
+
+
+def _random_tree_model(rng, name):
+    settings = {
+        "max_depth": [0, 1, 3, None][rng.integers(4)],
+        "min_samples_split": [2, 5][rng.integers(2)],
+        "min_impurity_decrease": [0.0, 0.01][rng.integers(2)],
+    }
+    if name == "decision_tree":
+        return DecisionTreeModel(**settings)
+    seed = int(rng.integers(0, 2**40))
+    if name == "extra_tree":
+        return ExtraTreeModel(**settings, seed=seed)
+    return MODEL_CLASSES[name](
+        n_trees=[1, 7][rng.integers(2)],
+        bootstrap=bool(rng.integers(2)),
+        max_features=["sqrt", None, *range(1, 6)][rng.integers(7)],
+        seed=seed,
+        **settings,
+    )
+
+
+EDGE_PROBLEMS = [
+    (np.array([[3.0, 1.0]]), np.array([1])),  # one row
+    (np.array([[3.0, 1.0], [2.0, 1.0]]), np.array([0, 1])),  # two rows, a constant column
+    (np.array([[3.0], [2.0], [3.0], [2.0]]), np.array([5, 5, 5, 5])),  # one class
+    (np.ones((6, 3)), np.array([0, 1, 2, 0, 1, 2])),  # every column constant
+    (np.zeros((4, 0)), np.array([0, 1, 0, 1])),  # no columns
+    # More classes than one int64 packs counts of (10 at 6 bits for 40 rows).
+    (np.arange(120.0).reshape(40, 3) % 7, np.arange(40) % 12),
+]
+
+
+@pytest.mark.parametrize("name", TREE_MODEL_NAMES)
+def test_lockstep_trees_match_reference_on_random_problems(name):
+    rng = np.random.default_rng(list(TREE_MODEL_NAMES).index(name))
+    for X, y in EDGE_PROBLEMS:
+        _assert_matches_reference(_random_tree_model(rng, name), X, y)
+    for _ in range(60):
+        X, y = _random_problem(rng)
+        _assert_matches_reference(_random_tree_model(rng, name), X, y)
+
+
+@pytest.mark.parametrize("name", TREE_MODEL_NAMES)
+def test_lockstep_trees_match_reference_on_adjacent_rows(name):
+    for seed in range(4):
+        model = make_model(name, seed=seed)
+        if name not in ("decision_tree", "extra_tree"):
+            model.n_trees = 7
+        _assert_matches_reference(model, ADJACENT_ROWS, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("name", TREE_MODEL_NAMES)
+def test_lockstep_trees_match_reference_on_synthetic_flows(name):
+    matrix = fit_transform(generate_records(1000, seed=3, signal_strength=0.6), scale=True)
+    model = make_model(name, seed=5)
+    # 20 trees keep the per-tree reference quick; the first steps still
+    # span several groups of BLOCK_ELEMENTS cells.
+    model.n_trees = min(model.n_trees, 20)
+    _assert_matches_reference(model, matrix.rows_for(model), matrix.labels)
+
+
+@pytest.mark.parametrize("name", ["extra_tree", "extra_trees"])
+def test_random_splitter_rejects_a_range_beyond_float64(name):
+    X = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 2.0]])
+    y = np.array([0, 1, 0])
+    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+        _reference_trees(make_model(name, seed=1), X, y)
+    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+        make_model(name, seed=1).fit(X, y)
+
+
+def test_tree_fits_are_identical_at_one_and_two_workers(monkeypatch):
+    matrix = fit_transform(generate_records(300, seed=9, signal_strength=0.6), scale=True)
+    plan = stratified_split(matrix.labels, 0.2, 42)
+    fits = {}
+
+    def recording_make_model(name, **kwargs):
+        model = make_model(name, **kwargs)
+        fits.setdefault(name, []).append(model)
+        return model
+
+    monkeypatch.setattr(bench_module, "make_model", recording_make_model)
+    trees = []
+    for workers in (1, 2):
+        fits.clear()
+        run_benchmark(matrix, plan, TREE_MODEL_NAMES, BenchOptions(workers=workers))
+        trees.append({name: [r.to_dict() for r in models[0].trees_] for name, models in fits.items()})
+    assert trees[0] == trees[1]
+    assert sorted(trees[0]) == sorted(TREE_MODEL_NAMES)

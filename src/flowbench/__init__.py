@@ -22,6 +22,7 @@ from flowbench.flow_data import (
     CANONICAL_COLUMNS,
     DatasetSummary,
     FlowRecord,
+    FlowTable,
     RowError,
     SchemaError,
     ThreatClass,

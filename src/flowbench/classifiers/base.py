@@ -48,6 +48,8 @@ class Classifier:
             raise ValueError("y length must match X row count")
         if X.shape[0] == 0:
             raise ValueError("fit requires at least one row")
+        if not np.isfinite(X).all():
+            raise ValueError("non-finite feature values")
         self.classes_, codes = np.unique(y, return_inverse=True)
         self.n_features_ = X.shape[1]
         self._fit(X, codes)

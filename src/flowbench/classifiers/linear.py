@@ -102,8 +102,6 @@ class _SGDBase(_LinearModel):
         self.seed = seed
 
     def _fit(self, X, codes):
-        if not np.isfinite(X).all():
-            raise ValueError("non-finite feature values")
         n, d = X.shape
         k = self.classes_.size
         targets = self._targets(codes)

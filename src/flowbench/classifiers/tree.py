@@ -139,20 +139,26 @@ def build_tree(
 
 
 def tree_scores(root: TreeNode, X: np.ndarray, n_classes: int) -> np.ndarray:
-    """Route rows to leaves; one class distribution per row."""
-    out = np.empty((X.shape[0], n_classes), dtype=np.float64)
+    """Route rows to leaves; one class distribution per row.
+
+    Each split reads its feature's column, so a Fortran-order X routes fastest.
+    """
+    leaves = []
+    leaf_of = np.empty(X.shape[0], dtype=np.intp)
     stack = [(root, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
             continue
         if node.is_leaf:
-            out[idx] = node.dist
+            leaf_of[idx] = len(leaves)
+            leaves.append(node.dist)
             continue
-        go_left = X[idx, node.feature] <= node.threshold
+        go_left = X[:, node.feature].take(idx) <= node.threshold
         stack.append((node.left, idx[go_left]))
         stack.append((node.right, idx[~go_left]))
-    return out
+    dists = np.array(leaves, dtype=np.float64).reshape(len(leaves), n_classes)
+    return dists[leaf_of]
 
 
 class _Pending(NamedTuple):
@@ -471,6 +477,7 @@ class DecisionTreeModel(Classifier):
 
     def _scores(self, X):
         k = self.classes_.size
+        X = np.asfortranarray(X)
         total = np.zeros((X.shape[0], k), dtype=np.float64)
         for root in self.trees_:
             total += tree_scores(root, X, k)

@@ -276,10 +276,12 @@ def _cmd_predict(args) -> int:
         predicted = artifact.model.predict(rows)
     except Exception as exc:
         raise _ModelError(str(exc)) from exc
-    lines = ["row,prediction_code,prediction"]
-    for i, code in enumerate(predicted):
-        lines.append(f"{i},{int(code)},{ThreatClass(int(code)).token}")
-    _emit("\n".join(lines) + "\n", args.output)
+    codes = predicted.tolist()
+    # One line ending per class code, in order of first appearance, so an
+    # unknown code fails where the row-by-row lines would have.
+    endings = {code: f",{code},{ThreatClass(code).token}\n" for code in dict.fromkeys(codes)}
+    body = "".join(map(str.__add__, map(str, range(len(codes))), map(endings.__getitem__, codes)))
+    _emit("row,prediction_code,prediction\n" + body, args.output)
     return EXIT_OK
 
 

@@ -7,10 +7,9 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from flowbench.flow_data import CANONICAL_COLUMNS, FlowRecord
+from flowbench.flow_data import CANONICAL_COLUMNS, FlowRecord, FlowTable
 
-# Every column but the label, which is the last field of a FlowRecord, so
-# feature column i is field i of a record.
+# Every column but the label, which is the last field of a FlowRecord.
 FEATURE_COLUMNS = CANONICAL_COLUMNS[:-1]
 # The text-valued features, in canonical order; this order is the encoder
 # order that model files store.
@@ -83,20 +82,20 @@ class SplitPlan:
 def fit_transform(records: Sequence[FlowRecord], scale: bool = False) -> FeatureMatrix:
     """Encode records into a FeatureMatrix, fitting encoders (and a scaler).
 
-    Categorical columns map to integer codes by lexicographic rank of the
-    vocabulary seen here; numeric columns pass through. With scale=True a
-    z-score scaler is fitted on these records and applied to `rows`;
-    constant columns are centered only, so they come out as all zeros.
+    `records` is a FlowTable or a list of FlowRecords. Categorical columns
+    map to integer codes by lexicographic rank of the vocabulary seen here;
+    numeric columns pass through. With scale=True a z-score scaler is fitted
+    on these records and applied to `rows`; constant columns are centered
+    only, so they come out as all zeros.
     """
-    if not records:
+    table = FlowTable.from_records(records)
+    if not len(table):
         raise ValueError("fit_transform requires at least one record")
-    encoders: dict[str, dict[str, int]] = {}
-    for i, name in enumerate(FEATURE_COLUMNS):
-        if name in CATEGORICAL_COLUMNS:
-            vocabulary = sorted({r[i] for r in records})
-            encoders[name] = {value: rank for rank, value in enumerate(vocabulary)}
-    encoded = encode_records(records, encoders)
-    labels = np.fromiter((r[-1] for r in records), dtype=np.int64, count=len(records))
+    encoders = {
+        name: {value: rank for rank, value in enumerate(sorted(table.columns[name].vocabulary))}
+        for name in CATEGORICAL_COLUMNS
+    }
+    encoded = encode_records(table, encoders)
     scaler = None
     rows = encoded
     if scale:
@@ -104,7 +103,7 @@ def fit_transform(records: Sequence[FlowRecord], scale: bool = False) -> Feature
         rows = scaler.apply(encoded)
     return FeatureMatrix(
         rows=rows,
-        labels=labels,
+        labels=table.labels,
         column_names=list(FEATURE_COLUMNS),
         encoders=encoders,
         scaler=scaler,
@@ -115,28 +114,28 @@ def fit_transform(records: Sequence[FlowRecord], scale: bool = False) -> Feature
 def encode_records(
     records: Sequence[FlowRecord], encoders: dict[str, dict[str, int]]
 ) -> np.ndarray:
-    """Apply fitted encoders; unseen categorical values map to UNSEEN_CODE."""
-    if not records:
-        return np.empty((0, len(FEATURE_COLUMNS)), dtype=np.float64)
-    columns = []
-    for i, name in enumerate(FEATURE_COLUMNS):
-        raw = [r[i] for r in records]
+    """Apply fitted encoders; unseen categorical values map to UNSEEN_CODE.
+
+    `records` is a FlowTable or a list of FlowRecords. A categorical column
+    encodes through one lookup array over its vocabulary and one gather.
+    """
+    table = FlowTable.from_records(records)
+    out = np.empty((len(table), len(FEATURE_COLUMNS)), dtype=np.float64)
+    for j, name in enumerate(FEATURE_COLUMNS):
+        column = table.columns[name]
         if name in CATEGORICAL_COLUMNS:
             codes = encoders[name]
-            columns.append(
-                np.fromiter(
-                    (codes.get(v, UNSEEN_CODE) for v in raw),
-                    dtype=np.float64,
-                    count=len(raw),
-                )
+            lookup = np.array(
+                [codes.get(v, UNSEEN_CODE) for v in column.vocabulary], dtype=np.float64
             )
+            out[:, j] = lookup[column.codes]
         else:
-            columns.append(np.asarray(raw, dtype=np.float64))
-    return np.column_stack(columns)
+            out[:, j] = column
+    return out
 
 
 def transform(matrix: FeatureMatrix, records: Sequence[FlowRecord]) -> np.ndarray:
-    """Encode new records with the matrix's fitted encoders and scaler."""
+    """Encode new records (a FlowTable or list) with the matrix's fitted encoders and scaler."""
     rows = encode_records(records, matrix.encoders)
     if matrix.scaler is not None:
         rows = matrix.scaler.apply(rows)

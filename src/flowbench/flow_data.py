@@ -10,7 +10,13 @@ entry per column, in canonical order, with the Prediction label last. The
 parser, `records_to_csv`, the feature encoder and the synthetic generator all
 follow it. Each cell parser takes the stripped cell text and returns its value
 or raises ValueError; cells are checked in canonical order, so a row with
-several bad cells reports the first of them.
+several bad cells reports the first of them. Integer columns' parsers are
+`IntegerCell`s, which declare the column's bounds.
+
+`parse_dataset` reads CHUNK_ROWS rows at a time and parses each chunk column
+by column into a `FlowTable`. A chunk that fails any check is parsed again
+row by row with the cell parsers, so the values it accepts and the first
+error it reports are those of the cell parsers alone.
 """
 
 from __future__ import annotations
@@ -18,12 +24,16 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
+import operator
 import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 PROTOCOL_VOCABULARY = ("ICMP", "TCP", "UDP")
 
@@ -65,6 +75,7 @@ _TOKEN_TO_CLASS = {
     "SS": ThreatClass.SYNTHETIC_SIGNATURE,
 }
 _CLASS_TO_TOKEN = {cls: token for token, cls in _TOKEN_TO_CLASS.items()}
+_CLASSES = tuple(ThreatClass)
 
 
 class FlowRecord(NamedTuple):
@@ -123,18 +134,28 @@ def _integer(cell: str) -> int:
     return value
 
 
-def _amount(cell: str) -> int:
-    value = _integer(cell)
-    if value < 0:
-        raise ValueError(f"negative value {value}")
-    return value
+@dataclass(frozen=True)
+class IntegerCell:
+    """Cell parser of an integer column whose values lie within low..high.
+
+    The bounds lie within ±MAX_EXACT_INTEGER, which every integer cell must
+    meet; the chunked parser checks whole columns against the same bounds.
+    """
+
+    low: int
+    high: int
+
+    def __call__(self, cell: str) -> int:
+        value = _integer(cell)
+        if not self.low <= value <= self.high:
+            # Above 2**53 _integer has already failed, so an amount can only be negative.
+            if self.high == MAX_EXACT_INTEGER:
+                raise ValueError(f"negative value {value}")
+            raise ValueError(f"value {value} outside {self.low}..{self.high}")
+        return value
 
 
-def _port(cell: str) -> int:
-    value = _integer(cell)
-    if not 0 <= value <= 65535:
-        raise ValueError(f"value {value} outside 0..65535")
-    return value
+_amount = IntegerCell(0, MAX_EXACT_INTEGER)
 
 
 def _protocol(cell: str) -> str:
@@ -158,7 +179,7 @@ COLUMNS = (
     ("Protocol", "protocol", _protocol),
     ("Flag", "flag", _text),
     ("Family", "family", _text),
-    ("Clusters", "clusters", _integer),
+    ("Clusters", "clusters", IntegerCell(-MAX_EXACT_INTEGER, MAX_EXACT_INTEGER)),
     ("SeedAddress", "seed_address", _text),
     ("ExpAddress", "exp_address", _text),
     ("BTC", "btc", _amount),
@@ -166,11 +187,90 @@ COLUMNS = (
     ("Netflow_Bytes", "netflow_bytes", _amount),
     ("IPaddress", "ip_class", _text),
     ("Threats", "threat", _text),
-    ("Port", "port", _port),
+    ("Port", "port", IntegerCell(0, 65535)),
     ("Prediction", "prediction", _label),
 )
 CANONICAL_COLUMNS = [header for header, _, _ in COLUMNS]
 COLUMN_FIELDS = {header: field for header, field, _ in COLUMNS}
+
+# Data rows parsed per chunk: enough to amortize the per-column calls, few
+# enough that a chunk's cells take a few MB.
+CHUNK_ROWS = 4096
+
+
+class TextColumn(NamedTuple):
+    """A text column: its distinct values, each occurring in some row, and every row's code.
+
+    Row i holds `vocabulary[codes[i]]`; the vocabulary is in order of first
+    appearance.
+    """
+
+    vocabulary: tuple
+    codes: np.ndarray  # int32
+
+    @classmethod
+    def of(cls, values: Sequence) -> "TextColumn":
+        vocabulary = tuple(dict.fromkeys(values))
+        index = {value: code for code, value in enumerate(vocabulary)}
+        codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
+        return cls(vocabulary, codes)
+
+
+class FlowTable(Sequence):
+    """Parsed flows held by column; a read-only sequence of FlowRecords.
+
+    `columns` maps each feature header to an int64 array (integer columns) or
+    a TextColumn; `labels` holds the class codes. Rows are built only when
+    indexed or iterated, and a table equals the list of the same records.
+    """
+
+    def __init__(self, columns: dict, labels: np.ndarray):
+        self.columns = columns
+        self.labels = labels
+
+    @classmethod
+    def from_records(cls, records: Sequence[FlowRecord]) -> "FlowTable":
+        """The records as a table; a table is returned as it is."""
+        if isinstance(records, FlowTable):
+            return records
+        values = list(zip(*records)) or [()] * len(COLUMNS)
+        columns = {
+            header: (
+                np.array(column, dtype=np.int64)
+                if isinstance(parse, IntegerCell)
+                else TextColumn.of(column)
+            )
+            for (header, _, parse), column in zip(COLUMNS[:-1], values)
+        }
+        return cls(columns, np.array(values[-1], dtype=np.int64))
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def __getitem__(self, index) -> FlowRecord:
+        row = range(len(self))[operator.index(index)]
+        return next(self._records(slice(row, row + 1)))
+
+    def __iter__(self) -> Iterator[FlowRecord]:
+        return self._records(slice(None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (FlowTable, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def _records(self, rows: slice) -> Iterator[FlowRecord]:
+        fields = []
+        for column in self.columns.values():
+            if isinstance(column, TextColumn):
+                values = map(column.vocabulary.__getitem__, column.codes[rows].tolist())
+            else:
+                values = column[rows].tolist()
+            fields.append(values)
+        fields.append(map(_CLASSES.__getitem__, self.labels[rows].tolist()))
+        return map(FlowRecord._make, zip(*fields))
 
 
 @dataclass
@@ -197,14 +297,23 @@ class DatasetSummary:
         }
 
 
-def parse_dataset(source) -> list[FlowRecord]:
-    """Parse a CSV path, bytes, or stream into a list of FlowRecords.
+def parse_dataset(source) -> FlowTable:
+    """Parse a CSV path, bytes, or stream into a FlowTable.
 
-    `source` may be a filesystem path (str or Path), raw CSV bytes, or a
-    file-like object. Raises SchemaError when the header is wrong and
-    RowError, carrying the 1-based data row number, for the first bad row.
+    `source` may be a filesystem path (str or Path), read as a stream, raw
+    CSV bytes, or a file-like object. Raises SchemaError when the header is
+    wrong and RowError, carrying the 1-based data row number (blank lines
+    count), for the first bad row.
     """
-    reader = csv.reader(_as_text_stream(source))
+    if isinstance(source, (str, Path)):
+        # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports write.
+        with open(source, encoding="utf-8-sig") as stream:
+            return _parse_stream(stream)
+    return _parse_stream(_as_text_stream(source))
+
+
+def _parse_stream(stream) -> FlowTable:
+    reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
         raise SchemaError("empty input: a header row is required")
@@ -225,23 +334,125 @@ def parse_dataset(source) -> list[FlowRecord]:
         raise SchemaError("; ".join(parts))
 
     offset = 1 if drop_index else 0
-    cells = [(c, names.index(c) + offset, parse) for c, _, parse in COLUMNS]
+    positions = [names.index(c) + offset for c in CANONICAL_COLUMNS]
     width = len(names) + offset
+    builders = [
+        _IntegerColumn(parse) if isinstance(parse, IntegerCell) else _Vocabulary(parse)
+        for _, _, parse in COLUMNS
+    ]
+    first_row = 1
+    for chunk in _chunks(reader):
+        rows = list(filter(None, chunk))
+        if rows:
+            parsed = _parse_columns(builders, rows, positions, width)
+            if parsed is None:
+                parsed = _parse_rows(builders, chunk, first_row, positions, width)
+            for builder, values in zip(builders, parsed):
+                builder.parts.append(values)
+        first_row += len(chunk)
+    *features, labels = builders
+    columns = {header: b.column() for header, b in zip(CANONICAL_COLUMNS, features)}
+    classes, codes = labels.column()
+    return FlowTable(columns, np.array(classes, dtype=np.int64)[codes])
 
-    records = []
-    for row_no, raw in enumerate(reader, start=1):
+
+def _chunks(reader) -> Iterator[list]:
+    """The reader's rows, CHUNK_ROWS at a time.
+
+    When reading fails (a malformed line or undecodable bytes), the rows read
+    before it form a last chunk, so an error in them is still reported first.
+    """
+    while True:
+        chunk = []
+        try:
+            chunk.extend(itertools.islice(reader, CHUNK_ROWS))
+        except (csv.Error, UnicodeDecodeError):
+            yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
+
+
+def _parse_columns(builders, rows, positions, width) -> list | None:
+    """A chunk's columns parsed whole, or None when any row or cell fails a check."""
+    if set(map(len, rows)) != {width}:
+        return None
+    cells = list(zip(*rows))
+    try:
+        return [builder.parse_cells(cells[p]) for builder, p in zip(builders, positions)]
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_rows(builders, chunk, first_row, positions, width) -> list:
+    """A chunk parsed row by row with the cell parsers; raises its first RowError."""
+    cells = [(header, position, parse) for (header, _, parse), position in zip(COLUMNS, positions)]
+    values = [[] for _ in COLUMNS]
+    for row_no, raw in enumerate(chunk, start=first_row):
         if not raw:
             continue
         if len(raw) != width:
             raise RowError(row_no, f"expected {width} fields, found {len(raw)}")
-        values = []
-        for column, position, parse in cells:
+        for (column, position, parse), out in zip(cells, values):
             try:
-                values.append(parse(raw[position].strip()))
+                out.append(parse(raw[position].strip()))
             except ValueError as exc:
                 raise RowError(row_no, f"{column}: {exc}") from None
-        records.append(FlowRecord(*values))
-    return records
+    return [builder.from_values(v) for builder, v in zip(builders, values)]
+
+
+class _IntegerColumn:
+    """The int64 parts of an integer column, checked against its IntegerCell bounds."""
+
+    def __init__(self, cell: IntegerCell):
+        self.cell = cell
+        self.parts: list[np.ndarray] = []
+
+    def parse_cells(self, cells) -> np.ndarray:
+        # int() accepts exactly the cells the cell parser reads without its
+        # slow paths, with the same value; any failure falls back to it.
+        values = np.fromiter(map(int, cells), np.int64, len(cells))
+        if values.min() < self.cell.low or values.max() > self.cell.high:
+            raise ValueError("out of bounds")
+        return values
+
+    def from_values(self, values: list) -> np.ndarray:
+        return np.array(values, dtype=np.int64)
+
+    def column(self) -> np.ndarray:
+        return np.concatenate([np.empty(0, dtype=np.int64), *self.parts])
+
+
+class _Vocabulary:
+    """The int32 code parts of a text or label column, coding its distinct parsed values."""
+
+    def __init__(self, parse):
+        self.parse = parse
+        self.parts: list[np.ndarray] = []
+        self._codes: dict = {}  # parsed value -> code, in order of first appearance
+        self._cells: dict = {}  # raw cell -> code
+
+    def parse_cells(self, cells) -> np.ndarray:
+        known = self._cells
+        try:
+            return np.fromiter(map(known.__getitem__, cells), np.int32, len(cells))
+        except KeyError:
+            # Parse each new cell once, in order of first appearance, then retry.
+            for cell in dict.fromkeys(cells):
+                if cell not in known:
+                    known[cell] = self._code(self.parse(cell.strip()))
+            return self.parse_cells(cells)
+
+    def from_values(self, values: list) -> np.ndarray:
+        return np.fromiter(map(self._code, values), np.int32, len(values))
+
+    def _code(self, value) -> int:
+        return self._codes.setdefault(value, len(self._codes))
+
+    def column(self) -> TextColumn:
+        codes = np.concatenate([np.empty(0, dtype=np.int32), *self.parts])
+        return TextColumn(tuple(self._codes), codes)
 
 
 def records_to_csv(records: Iterable[FlowRecord]) -> str:
@@ -255,24 +466,27 @@ def records_to_csv(records: Iterable[FlowRecord]) -> str:
 
 def summarize(records: Sequence[FlowRecord]) -> DatasetSummary:
     """Row count, per-column distinct-value counts, family and class histograms."""
-    families = Counter(r.family for r in records)
-    classes = Counter(r.prediction for r in records)
+    table = FlowTable.from_records(records)
+    family = table.columns["Family"]
+    family_sizes = np.bincount(family.codes, minlength=len(family.vocabulary)).tolist()
+    classes = np.bincount(table.labels, minlength=len(ThreatClass)).tolist()
     distinct = {
-        column: len({r[i] for r in records})
-        for i, column in enumerate(CANONICAL_COLUMNS)
+        header: len(column.vocabulary)
+        if isinstance(column, TextColumn)
+        else np.unique(column).size
+        for header, column in table.columns.items()
     }
+    distinct[CANONICAL_COLUMNS[-1]] = np.unique(table.labels).size
+    families = zip(family.vocabulary, family_sizes)
     return DatasetSummary(
-        row_count=len(records),
+        row_count=len(table),
         distinct_counts=distinct,
-        family_counts=dict(sorted(families.items(), key=lambda kv: (-kv[1], kv[0]))),
-        class_counts={cls: classes.get(cls, 0) for cls in ThreatClass},
+        family_counts=dict(sorted(families, key=lambda kv: (-kv[1], kv[0]))),
+        class_counts={cls: classes[cls] for cls in ThreatClass},
     )
 
 
 def _as_text_stream(source) -> io.StringIO:
-    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports write.
-    if isinstance(source, (str, Path)):
-        return io.StringIO(Path(source).read_text(encoding="utf-8-sig"))
     if isinstance(source, (bytes, bytearray)):
         return io.StringIO(source.decode("utf-8-sig"))
     data = source.read()

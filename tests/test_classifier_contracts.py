@@ -127,6 +127,15 @@ EXPECTED_HYPERPARAMETERS = {
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected_by_every_model(name, bad):
+    X, y, _ = _random_problem(seed=5)
+    X[3, 1] = bad
+    with pytest.raises(ValueError, match="^non-finite feature values$"):
+        make_model(name, seed=0).fit(X, y)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
 def test_hyperparameters_of_each_default_model(name):
     # Items, not the dict, so the key order model files are written in is pinned too.
     expected = EXPECTED_HYPERPARAMETERS[name]

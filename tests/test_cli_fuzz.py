@@ -3,8 +3,10 @@
 Hypothesis draws small valid CSVs: any subset of the classes, duplicated
 rows, constant columns, reordered headers, an unnamed index column, CRLF line
 ends, a byte-order mark, and integer cells at 0, at 2**53 and beyond it. Each
-file goes through every subcommand in-process. The run is derandomized and
-keeps no example database, so it is the same on every machine.
+file goes through every subcommand in-process, and, with one cell damaged or
+not, through the chunked parser and its row-by-row reference. The run is
+derandomized and keeps no example database, so it is the same on every
+machine.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import csv
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flowbench import flow_data
 from flowbench.classifiers import MODEL_NAMES, make_model
 from flowbench.cli import EXIT_OK, main
 from flowbench.features import fit_transform
@@ -29,6 +33,8 @@ from flowbench.flow_data import (
     PROTOCOL_VOCABULARY,
     parse_dataset,
 )
+
+from test_flow_data import assert_parses_like_reference
 
 AMOUNT = st.sampled_from([0, 1, MAX_EXACT_INTEGER]) | st.integers(0, 10**6)
 CELLS = {
@@ -125,6 +131,45 @@ def test_every_subcommand_survives_legal_files(data, model, no_scale):
             expected = fitted.predict(matrix.rows_for(fitted))
             got = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
             np.testing.assert_array_equal(got, expected)
+
+
+# Cells that some column rejects, or accepts only on the cell parser's slow path.
+ODD_CELLS = ["", "x", "-1", "70000", "GRE", "Q", " 5 ", "1_000", "+7", "\u0663",
+             "0" * 5000 + "3", str(2**63)]
+
+
+def damaged(data: bytes, row: int, column: int, cell: str | None) -> bytes:
+    """The file with one data cell replaced by `cell`, or with a field added for None."""
+    rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+    fields = rows[1 + row % (len(rows) - 1)]
+    if cell is None:
+        fields.append("extra")
+    else:
+        fields[column % len(fields)] = cell
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    flow_files(),
+    st.none() | st.tuples(st.integers(0, 30), st.integers(0, 14),
+                          st.none() | st.sampled_from(ODD_CELLS)),
+    st.sampled_from([1, 2, 3, flow_data.CHUNK_ROWS]),
+)
+def test_chunked_parse_matches_the_row_by_row_reference(data, damage, chunk_rows):
+    if damage is not None:
+        data = damaged(data, *damage)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(flow_data, "CHUNK_ROWS", chunk_rows):
+        assert_parses_like_reference(data, Path(tmp))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

@@ -1,12 +1,19 @@
+import csv
 import io
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from flowbench import flow_data
+from flowbench.features import fit_transform, transform
 from flowbench.flow_data import (
     CANONICAL_COLUMNS,
     COLUMN_FIELDS,
     COLUMNS,
     FlowRecord,
+    FlowTable,
     RowError,
     SchemaError,
     ThreatClass,
@@ -14,8 +21,79 @@ from flowbench.flow_data import (
     records_to_csv,
     summarize,
 )
+from flowbench.synth import generate_records
 
 from conftest import FIGURE_ROW, HEADER, csv_bytes
+
+
+def _reference_parse(source) -> list[FlowRecord]:
+    """The row-by-row parser that the chunked one replaced, kept as its oracle."""
+    reader = csv.reader(_reference_text_stream(source))
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError("empty input: a header row is required")
+
+    drop_index = len(header) > 0 and header[0].strip() == ""
+    names = [cell.strip() for cell in (header[1:] if drop_index else header)]
+    duplicates = sorted(name for name, count in Counter(names).items() if count > 1)
+    if duplicates:
+        raise SchemaError(f"duplicate column(s): {', '.join(duplicates)}")
+    missing = [c for c in CANONICAL_COLUMNS if c not in names]
+    extra = [c for c in names if c not in CANONICAL_COLUMNS]
+    if missing or extra:
+        parts = []
+        if missing:
+            parts.append("missing column(s): " + ", ".join(missing))
+        if extra:
+            parts.append("unexpected column(s): " + ", ".join(extra))
+        raise SchemaError("; ".join(parts))
+
+    offset = 1 if drop_index else 0
+    cells = [(c, names.index(c) + offset, parse) for c, _, parse in COLUMNS]
+    width = len(names) + offset
+
+    records = []
+    for row_no, raw in enumerate(reader, start=1):
+        if not raw:
+            continue
+        if len(raw) != width:
+            raise RowError(row_no, f"expected {width} fields, found {len(raw)}")
+        values = []
+        for column, position, parse in cells:
+            try:
+                values.append(parse(raw[position].strip()))
+            except ValueError as exc:
+                raise RowError(row_no, f"{column}: {exc}") from None
+        records.append(FlowRecord(*values))
+    return records
+
+
+def _reference_text_stream(source) -> io.StringIO:
+    if isinstance(source, (str, Path)):
+        return io.StringIO(Path(source).read_text(encoding="utf-8-sig"))
+    if isinstance(source, (bytes, bytearray)):
+        return io.StringIO(source.decode("utf-8-sig"))
+    data = source.read()
+    if isinstance(data, (bytes, bytearray)):
+        data = data.decode("utf-8-sig")
+    return io.StringIO(data)
+
+
+def _outcome(parse, source):
+    """The records and their value types, or the error, that one parser gives."""
+    try:
+        records = list(parse(source))
+    except (RowError, SchemaError, csv.Error) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return records, [tuple(map(type, record)) for record in records]
+
+
+def assert_parses_like_reference(data: bytes, tmp_path: Path) -> None:
+    """The chunked parser matches the oracle on these bytes, as bytes and as a file."""
+    path = tmp_path / "flows.csv"
+    path.write_bytes(data)
+    for source in (data, path):
+        assert _outcome(parse_dataset, source) == _outcome(_reference_parse, source)
 
 
 def test_parse_reference_row():
@@ -257,3 +335,150 @@ def test_summarize_histograms_sum_to_row_count(synth_records):
     assert sum(summary.family_counts.values()) == summary.row_count
     assert sum(summary.class_counts.values()) == summary.row_count
     assert set(summary.distinct_counts) == set(CANONICAL_COLUMNS)
+
+
+# chunked parse against the row-by-row oracle --------------------------------
+
+SMALL_CHUNK = 4
+
+
+def _synth_lines(n: int, seed: int = 3) -> list[str]:
+    """Data lines of n synthetic rows, without the header."""
+    return records_to_csv(generate_records(n, seed=seed, signal_strength=0.5)).splitlines()[1:]
+
+
+def _file(lines: list[str], newline: str = "\n") -> bytes:
+    return newline.join([HEADER, *lines, ""]).encode()
+
+
+def _small_chunk_cases() -> dict[str, list[str]]:
+    good = _synth_lines(3 * SMALL_CHUNK + 2)
+    bad_port = _with_cells(Port="70000")
+    long_cell = _with_cells(Family="x" * (csv.field_size_limit() + 1))
+    return {
+        "bad cell opening the second chunk": good[:SMALL_CHUNK] + [bad_port] + good,
+        "blank lines before it": good[:SMALL_CHUNK - 1] + ["", ""] + [bad_port] + good,
+        "wrong field count after a bad cell": (
+            good[:SMALL_CHUNK + 1] + [bad_port, FIGURE_ROW + ",extra"] + good
+        ),
+        "bad cell after a wrong field count": (
+            good[:SMALL_CHUNK + 1] + [FIGURE_ROW + ",extra", bad_port] + good
+        ),
+        "several bad cells in one row": good[:SMALL_CHUNK + 2] + [
+            _with_cells(Protocol="GRE", USD="-1", Prediction="X")
+        ],
+        "padded cell in a later chunk": (
+            good[:SMALL_CHUNK + 1] + [_with_cells(USD="0" * 5000 + "7")] + good
+        ),
+        "cell beyond int64": good[:2 * SMALL_CHUNK] + [_with_cells(BTC=str(2**64))] + good,
+        "cell between 2**53 and int64": good[:2] + [_with_cells(Clusters=str(-(2**60)))],
+        "blank chunk": good[:SMALL_CHUNK] + [""] * (2 * SMALL_CHUNK) + good,
+        "trailing blank lines": good + ["", "", ""],
+        "padded text, integer and label cells": good[:5] + [
+            _with_cells(Family=" WannaCry ", Port=" 80 ", Protocol=" TCP", Prediction="S ")
+        ] + good,
+        "non-ASCII digits": good[:5] + [_with_cells(Port="\u0663\u0664")] + good,
+        "quoted separators and line breaks": good[:5] + [
+            _with_cells(Family='"Wanna,\nCry"', Threats='"say ""hi"""')
+        ] + good,
+        "unknown protocol in the first chunk": [_with_cells(Protocol="GRE")] + good,
+        "unreadable line after a bad cell": good[:2] + [bad_port, long_cell] + good,
+        "unreadable line alone": good[:SMALL_CHUNK + 1] + [long_cell] + good,
+        "clean": good,
+    }
+
+
+@pytest.mark.parametrize("case", list(_small_chunk_cases()))
+def test_chunked_parse_matches_reference_at_chunk_boundaries(case, tmp_path, monkeypatch):
+    monkeypatch.setattr(flow_data, "CHUNK_ROWS", SMALL_CHUNK)
+    assert_parses_like_reference(_file(_small_chunk_cases()[case]), tmp_path)
+
+
+def test_chunk_boundary_errors_name_the_row_in_file_order(monkeypatch):
+    monkeypatch.setattr(flow_data, "CHUNK_ROWS", SMALL_CHUNK)
+    cases = _small_chunk_cases()
+    expected = {
+        "bad cell opening the second chunk": "row 5: Port: value 70000 outside 0..65535",
+        "blank lines before it": "row 6: Port: value 70000 outside 0..65535",
+        "wrong field count after a bad cell": "row 6: Port: value 70000 outside 0..65535",
+        "bad cell after a wrong field count": "row 6: expected 14 fields, found 15",
+        "cell beyond int64": "row 9: BTC: integer magnitude above 2**53",
+    }
+    for case, message in expected.items():
+        with pytest.raises(RowError) as info:
+            parse_dataset(_file(cases[case]))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("index", [False, True])
+@pytest.mark.parametrize("bom", [False, True])
+def test_chunked_parse_matches_reference_on_export_variants(newline, index, bom, tmp_path):
+    # Several real-size chunks, a reordered header, and two rare cells.
+    records = generate_records(2 * flow_data.CHUNK_ROWS + 5, seed=11, signal_strength=0.5)
+    header = list(reversed(CANONICAL_COLUMNS))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=newline)
+    writer.writerow([""] * index + header)
+    for i, line in enumerate(records_to_csv(records).splitlines()[1:]):
+        named = dict(zip(CANONICAL_COLUMNS, line.split(",")))
+        if i == flow_data.CHUNK_ROWS + 1:
+            named["USD"] = "0" * 5000 + "7"
+        writer.writerow([i] * index + [named[c] for c in header])
+    data = ("\ufeff" * bom + buffer.getvalue()).encode()
+    assert_parses_like_reference(data, tmp_path)
+    assert list(parse_dataset(data))[flow_data.CHUNK_ROWS + 1].usd == 7
+    beyond = data.replace(b"0" * 5000 + b"7", str(2**63).encode())
+    assert_parses_like_reference(beyond, tmp_path)
+
+
+# the FlowTable contract ---------------------------------------------------------
+
+
+def test_flow_table_is_a_sequence_of_the_parsed_records(synth_records):
+    table = parse_dataset(records_to_csv(synth_records).encode())
+    assert isinstance(table, FlowTable)
+    assert len(table) == len(synth_records)
+    assert table[0] == synth_records[0]
+    assert table[-1] == synth_records[-1]
+    assert table[-len(table)] == synth_records[0]
+    for index in (len(table), -len(table) - 1):
+        with pytest.raises(IndexError):
+            table[index]
+    assert list(table) == synth_records
+    assert table == synth_records and synth_records == table
+    assert table != synth_records[:-1]
+    assert table == FlowTable.from_records(synth_records)
+    assert FlowTable.from_records(table) is table
+
+
+def test_header_only_table_is_empty():
+    table = parse_dataset(csv_bytes())
+    assert len(table) == 0
+    assert list(table) == []
+    assert table == []
+
+
+def test_summary_of_table_equals_summary_of_records(synth_records):
+    table = parse_dataset(records_to_csv(synth_records).encode())
+    assert summarize(table) == summarize(synth_records)
+    assert summarize(table).distinct_counts == {
+        column: len({r[i] for r in synth_records})
+        for i, column in enumerate(CANONICAL_COLUMNS)
+    }
+
+
+def test_table_and_record_list_encode_alike(synth_records):
+    table = parse_dataset(records_to_csv(synth_records).encode())
+    unseen = [synth_records[0]._replace(family="Unseen", protocol="ICMP"), synth_records[1]]
+    for scale in (False, True):
+        from_table = fit_transform(table, scale=scale)
+        from_list = fit_transform(synth_records, scale=scale)
+        for field in ("rows", "labels", "encoded"):
+            np.testing.assert_array_equal(getattr(from_table, field), getattr(from_list, field))
+        assert from_table.encoders == from_list.encoders
+        for query in (synth_records[:7], unseen):
+            np.testing.assert_array_equal(
+                transform(from_table, FlowTable.from_records(query)),
+                transform(from_list, query),
+            )

@@ -84,6 +84,9 @@ def test_traced_predict_reports_read_side_spans(tmp_path):
         "classifiers.persistence.load_model",
         "classifiers.tree.tree_scores",
     } <= names
+    # flow_data.parse_rows_per_s divides these rows, len() of the parse result.
+    (parse,) = [s for s in document["spans"] if s["name"] == "flow_data.parse_dataset"]
+    assert parse["attrs"]["rows"] == len(data.read_text().splitlines()) - 1 == 150
     untraced = tmp_path / "untraced.csv"
     assert main(["predict", "--data", str(data), "--model-file", str(model),
                  "--output", str(untraced)]) == EXIT_OK

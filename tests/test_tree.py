@@ -15,6 +15,7 @@ from flowbench.classifiers import (
     build_tree,
     gini,
     make_model,
+    tree_scores,
 )
 from flowbench.features import fit_transform, stratified_split
 from flowbench.synth import generate_records
@@ -211,6 +212,25 @@ def test_prediction_equals_routed_leaf_argmax():
             node = node.left if value <= node.threshold else node.right
         expected = int(np.argmax(node.dist))
         assert model.predict(np.array([[value]]))[0] == model.classes_[expected]
+
+
+def test_tree_scores_match_row_by_row_routing(rng):
+    X = rng.normal(size=(300, 5))
+    X[:, 2] = rng.integers(0, 4, size=300)  # ties route left at a threshold
+    y = rng.integers(0, 3, size=300)
+    model = make_model("random_forest", seed=4).fit(X, y)
+    probe = rng.normal(size=(200, 5))
+    probe[:, 2] = rng.integers(-1, 5, size=200)
+    for root in model.trees_:
+        expected = []
+        for row in probe:
+            node = root
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            expected.append(node.dist)
+        for layout in (probe, np.asfortranarray(probe)):
+            assert np.array_equal(tree_scores(root, layout, 3), np.array(expected))
+    assert tree_scores(model.trees_[0], probe[:0], 3).shape == (0, 3)
 
 
 def test_midpoint_rounding_onto_upper_value_still_splits():

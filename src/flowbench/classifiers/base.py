@@ -121,4 +121,6 @@ class Classifier:
             raise ValueError(
                 f"expected {self.n_features_} feature columns, got {X.shape[1]}"
             )
+        if not np.isfinite(X).all():
+            raise ValueError("non-finite feature values")
         return X

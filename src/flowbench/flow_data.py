@@ -303,7 +303,7 @@ def parse_dataset(source) -> FlowTable:
     `source` may be a filesystem path (str or Path), read as a stream, raw
     CSV bytes, or a file-like object. Raises SchemaError when the header is
     wrong and RowError, carrying the 1-based data row number (blank lines
-    count), for the first bad row.
+    count), for the first bad row, including a row the csv module cannot read.
     """
     if isinstance(source, (str, Path)):
         # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports write.
@@ -359,18 +359,24 @@ def _parse_stream(stream) -> FlowTable:
 def _chunks(reader) -> Iterator[list]:
     """The reader's rows, CHUNK_ROWS at a time.
 
-    When reading fails (a malformed line or undecodable bytes), the rows read
-    before it form a last chunk, so an error in them is still reported first.
+    When reading fails (a line the csv module rejects, or undecodable bytes),
+    the rows read before it form a last chunk, so an error in them is still
+    reported first. A rejected line then raises a RowError naming its row.
     """
+    rows_read = 0
     while True:
         chunk = []
         try:
             chunk.extend(itertools.islice(reader, CHUNK_ROWS))
-        except (csv.Error, UnicodeDecodeError):
+        except csv.Error as exc:
+            yield chunk
+            raise RowError(rows_read + len(chunk) + 1, str(exc)) from None
+        except UnicodeDecodeError:
             yield chunk
             raise
         if not chunk:
             return
+        rows_read += len(chunk)
         yield chunk
 
 

@@ -129,7 +129,12 @@ EXPECTED_HYPERPARAMETERS = {
 @pytest.mark.parametrize("name", MODEL_NAMES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_features_rejected_by_every_model(name, bad):
-    X, y, _ = _random_problem(seed=5)
+    X, y, probe = _random_problem(seed=5)
+    model = make_model(name, seed=0).fit(X, y)
+    probe[3, 1] = bad
+    for predict in (model.predict, model.predict_scores):
+        with pytest.raises(ValueError, match="^non-finite feature values$"):
+            predict(probe)
     X[3, 1] = bad
     with pytest.raises(ValueError, match="^non-finite feature values$"):
         make_model(name, seed=0).fit(X, y)

@@ -73,6 +73,22 @@ def test_malformed_csv_is_data_error(tmp_path, capsys):
     assert "missing column" in capsys.readouterr().err
 
 
+def test_unreadable_csv_line_is_data_error(synth_csv, tmp_path, capsys):
+    # A cell longer than the csv module's field limit (131,072 characters).
+    bad = tmp_path / "long.csv"
+    row = FIGURE_ROW.replace("WannaCry", "x" * 140_000)
+    bad.write_bytes(csv_bytes(row))
+    model_file = tmp_path / "model.json"
+    assert main(["train", "--data", str(synth_csv), "--model", "dummy",
+                 "--output", str(model_file)]) == EXIT_OK
+    capsys.readouterr()
+    for argv in (["inspect"], ["predict", "--model-file", str(model_file)]):
+        assert main([*argv, "--data", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: row 1: field larger than field limit (131072)\n"
+        )
+
+
 def test_bad_test_fraction_is_usage_error(synth_csv):
     assert main(["bench", "--data", str(synth_csv), "--test-fraction", "1.5"]) == EXIT_USAGE
     assert main(["bench", "--data", str(synth_csv), "--folds", "1"]) == EXIT_USAGE

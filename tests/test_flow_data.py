@@ -53,18 +53,23 @@ def _reference_parse(source) -> list[FlowRecord]:
     width = len(names) + offset
 
     records = []
-    for row_no, raw in enumerate(reader, start=1):
-        if not raw:
-            continue
-        if len(raw) != width:
-            raise RowError(row_no, f"expected {width} fields, found {len(raw)}")
-        values = []
-        for column, position, parse in cells:
-            try:
-                values.append(parse(raw[position].strip()))
-            except ValueError as exc:
-                raise RowError(row_no, f"{column}: {exc}") from None
-        records.append(FlowRecord(*values))
+    row_no = 0
+    try:
+        for row_no, raw in enumerate(reader, start=1):
+            if not raw:
+                continue
+            if len(raw) != width:
+                raise RowError(row_no, f"expected {width} fields, found {len(raw)}")
+            values = []
+            for column, position, parse in cells:
+                try:
+                    values.append(parse(raw[position].strip()))
+                except ValueError as exc:
+                    raise RowError(row_no, f"{column}: {exc}") from None
+            records.append(FlowRecord(*values))
+    except csv.Error as exc:
+        # The line the csv module rejects is the row after the last one read.
+        raise RowError(row_no + 1, str(exc)) from None
     return records
 
 
@@ -83,7 +88,7 @@ def _outcome(parse, source):
     """The records and their value types, or the error, that one parser gives."""
     try:
         records = list(parse(source))
-    except (RowError, SchemaError, csv.Error) as exc:
+    except (RowError, SchemaError) as exc:
         return type(exc), str(exc), getattr(exc, "row", None)
     return records, [tuple(map(type, record)) for record in records]
 
@@ -403,6 +408,10 @@ def test_chunk_boundary_errors_name_the_row_in_file_order(monkeypatch):
         "wrong field count after a bad cell": "row 6: Port: value 70000 outside 0..65535",
         "bad cell after a wrong field count": "row 6: expected 14 fields, found 15",
         "cell beyond int64": "row 9: BTC: integer magnitude above 2**53",
+        "unreadable line after a bad cell": "row 3: Port: value 70000 outside 0..65535",
+        "unreadable line alone": (
+            f"row {SMALL_CHUNK + 2}: field larger than field limit ({csv.field_size_limit()})"
+        ),
     }
     for case, message in expected.items():
         with pytest.raises(RowError) as info:

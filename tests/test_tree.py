@@ -11,6 +11,7 @@ from flowbench.classifiers import (
     ExtraTreesModel,
     MODEL_CLASSES,
     NotFittedError,
+    RandomForestModel,
     TreeNode,
     build_tree,
     gini,
@@ -214,22 +215,39 @@ def test_prediction_equals_routed_leaf_argmax():
         assert model.predict(np.array([[value]]))[0] == model.classes_[expected]
 
 
+def _routed_dists(root, probe):
+    """Each probe row's leaf distribution, routing one row at a time."""
+    dists = []
+    for row in probe:
+        node = root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        dists.append(node.dist)
+    return np.array(dists)
+
+
 def test_tree_scores_match_row_by_row_routing(rng):
     X = rng.normal(size=(300, 5))
     X[:, 2] = rng.integers(0, 4, size=300)  # ties route left at a threshold
     y = rng.integers(0, 3, size=300)
-    model = make_model("random_forest", seed=4).fit(X, y)
     probe = rng.normal(size=(200, 5))
     probe[:, 2] = rng.integers(-1, 5, size=200)
-    for root in model.trees_:
-        expected = []
-        for row in probe:
-            node = root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            expected.append(node.dist)
-        for layout in (probe, np.asfortranarray(probe)):
-            assert np.array_equal(tree_scores(root, layout, 3), np.array(expected))
+    # Shallow trees have impure leaves, so the order of the forest's sum shows.
+    for model in (make_model("random_forest", seed=4), RandomForestModel(max_depth=3, seed=4)):
+        model.fit(X, y)
+        total = np.zeros((probe.shape[0], 3))
+        for root in model.trees_:
+            # Every row on the root's threshold routes left and leaves the right
+            # subtree without rows; the rows right of it leave the left one empty.
+            on_threshold = probe.copy()
+            on_threshold[:, root.feature] = root.threshold
+            right_only = probe[probe[:, root.feature] > root.threshold]
+            for rows in (probe, on_threshold, right_only):
+                expected = _routed_dists(root, rows)
+                for layout in (rows, np.asfortranarray(rows)):
+                    assert np.array_equal(tree_scores(root, layout, 3), expected)
+            total += _routed_dists(root, probe)
+        assert np.array_equal(model.predict_scores(probe), total / len(model.trees_))
     assert tree_scores(model.trees_[0], probe[:0], 3).shape == (0, 3)
 
 

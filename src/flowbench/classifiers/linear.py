@@ -43,7 +43,7 @@ from operator import mul
 
 import numpy as np
 
-from flowbench.classifiers.base import Classifier
+from flowbench.classifiers.base import Classifier, validated_seed
 
 # Rows per block of the SGD kernel: two small products per block against a
 # Python recurrence whose cost grows with the block.
@@ -99,7 +99,7 @@ class _SGDBase(_LinearModel):
         self.learning_rate = learning_rate
         self.l2 = l2
         self.tol = tol
-        self.seed = seed
+        self.seed = validated_seed(seed)
 
     def _fit(self, X, codes):
         n, d = X.shape

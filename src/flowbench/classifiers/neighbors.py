@@ -6,7 +6,9 @@ import numpy as np
 
 from flowbench.classifiers.base import Classifier
 
-_CHUNK = 512  # query rows per distance block, bounds the pairwise matrix
+# Bytes of one block's float64 distance matrix: 512 query rows against 800
+# training rows. Query rows per block shrink as the training set grows.
+BLOCK_BYTES = 512 * 800 * 8
 
 
 class KNNModel(Classifier):
@@ -45,10 +47,11 @@ class KNNModel(Classifier):
     def _scores(self, X):
         n_classes = self.classes_.size
         n_train = self.train_rows_.shape[0]
+        block_rows = max(1, BLOCK_BYTES // (8 * n_train))
         out = np.empty((X.shape[0], n_classes), dtype=np.float64)
-        ones = np.ones((min(_CHUNK, X.shape[0]), 1), dtype=np.float64)
-        for start in range(0, X.shape[0], _CHUNK):
-            block = X[start : start + _CHUNK]
+        ones = np.ones((min(block_rows, X.shape[0]), 1), dtype=np.float64)
+        for start in range(0, X.shape[0], block_rows):
+            block = X[start : start + block_rows]
             augmented = np.hstack([block, ones[: block.shape[0]]])
             d2 = augmented @ self._neighbor_basis
             if self.k < n_train:
@@ -59,7 +62,7 @@ class KNNModel(Classifier):
                 )
             votes = self.train_codes_[nearest]
             counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)
-            out[start : start + _CHUNK] = counts / self.k
+            out[start : start + block_rows] = counts / self.k
         return out
 
     def _load_state(self, state):

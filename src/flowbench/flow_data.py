@@ -14,9 +14,9 @@ several bad cells reports the first of them. Integer columns' parsers are
 `IntegerCell`s, which declare the column's bounds.
 
 `parse_dataset` reads CHUNK_ROWS rows at a time and parses each chunk column
-by column into a `FlowTable`. A chunk that fails any check is parsed again
-row by row with the cell parsers, so the values it accepts and the first
-error it reports are those of the cell parsers alone.
+by column into a `FlowTable`; every value comes from these columns. A chunk
+that fails any check is walked row by row with the cell parsers only to
+name its first bad row, so the error it reports is that of the cell parsers.
 """
 
 from __future__ import annotations
@@ -306,8 +306,9 @@ def parse_dataset(source) -> FlowTable:
     count), for the first bad row, including a row the csv module cannot read.
     """
     if isinstance(source, (str, Path)):
-        # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports write.
-        with open(source, encoding="utf-8-sig") as stream:
+        # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports
+        # write; newline="" leaves line breaks to csv, as they are in bytes input.
+        with open(source, encoding="utf-8-sig", newline="") as stream:
             return _parse_stream(stream)
     return _parse_stream(_as_text_stream(source))
 
@@ -344,9 +345,11 @@ def _parse_stream(stream) -> FlowTable:
     for chunk in _chunks(reader):
         rows = list(filter(None, chunk))
         if rows:
-            parsed = _parse_columns(builders, rows, positions, width)
-            if parsed is None:
-                parsed = _parse_rows(builders, chunk, first_row, positions, width)
+            try:
+                parsed = _parse_columns(builders, rows, positions, width)
+            except (ValueError, OverflowError):
+                _raise_first_row_error(chunk, first_row, positions, width)
+                raise
             for builder, values in zip(builders, parsed):
                 builder.parts.append(values)
         first_row += len(chunk)
@@ -380,32 +383,30 @@ def _chunks(reader) -> Iterator[list]:
         yield chunk
 
 
-def _parse_columns(builders, rows, positions, width) -> list | None:
-    """A chunk's columns parsed whole, or None when any row or cell fails a check."""
+def _parse_columns(builders, rows, positions, width) -> list:
+    """A chunk's columns parsed whole; raises ValueError when any row or cell fails a check."""
     if set(map(len, rows)) != {width}:
-        return None
+        raise ValueError("a row has the wrong field count")
     cells = list(zip(*rows))
-    try:
-        return [builder.parse_cells(cells[p]) for builder, p in zip(builders, positions)]
-    except (ValueError, OverflowError):
-        return None
+    return [builder.parse_cells(cells[p]) for builder, p in zip(builders, positions)]
 
 
-def _parse_rows(builders, chunk, first_row, positions, width) -> list:
-    """A chunk parsed row by row with the cell parsers; raises its first RowError."""
-    cells = [(header, position, parse) for (header, _, parse), position in zip(COLUMNS, positions)]
-    values = [[] for _ in COLUMNS]
+def _raise_first_row_error(chunk, first_row, positions, width) -> None:
+    """Raise the RowError of the chunk's first bad row, found with the cell parsers.
+
+    The column path accepts exactly the cells the cell parsers accept, with
+    the same values, so a chunk it rejects holds a bad row and this raises.
+    """
     for row_no, raw in enumerate(chunk, start=first_row):
         if not raw:
             continue
         if len(raw) != width:
-            raise RowError(row_no, f"expected {width} fields, found {len(raw)}")
-        for (column, position, parse), out in zip(cells, values):
+            raise RowError(row_no, f"expected {width} fields, found {len(raw)}") from None
+        for (column, _, parse), position in zip(COLUMNS, positions):
             try:
-                out.append(parse(raw[position].strip()))
+                parse(raw[position].strip())
             except ValueError as exc:
                 raise RowError(row_no, f"{column}: {exc}") from None
-    return [builder.from_values(v) for builder, v in zip(builders, values)]
 
 
 class _IntegerColumn:
@@ -416,15 +417,15 @@ class _IntegerColumn:
         self.parts: list[np.ndarray] = []
 
     def parse_cells(self, cells) -> np.ndarray:
-        # int() accepts exactly the cells the cell parser reads without its
-        # slow paths, with the same value; any failure falls back to it.
-        values = np.fromiter(map(int, cells), np.int64, len(cells))
+        try:
+            values = np.fromiter(map(int, cells), np.int64, len(cells))
+        except ValueError:
+            # int() gives the cell parser's value for every legal cell but one:
+            # a literal longer than sys.get_int_max_str_digits(), which it refuses.
+            values = np.fromiter(map(self.cell, map(str.strip, cells)), np.int64, len(cells))
         if values.min() < self.cell.low or values.max() > self.cell.high:
             raise ValueError("out of bounds")
         return values
-
-    def from_values(self, values: list) -> np.ndarray:
-        return np.array(values, dtype=np.int64)
 
     def column(self) -> np.ndarray:
         return np.concatenate([np.empty(0, dtype=np.int64), *self.parts])
@@ -449,9 +450,6 @@ class _Vocabulary:
                 if cell not in known:
                     known[cell] = self._code(self.parse(cell.strip()))
             return self.parse_cells(cells)
-
-    def from_values(self, values: list) -> np.ndarray:
-        return np.fromiter(map(self._code, values), np.int32, len(values))
 
     def _code(self, value) -> int:
         return self._codes.setdefault(value, len(self._codes))

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from flowbench.classifiers import neighbors
 from flowbench.classifiers import (
     BernoulliNBModel,
     DummyModel,
@@ -71,6 +74,23 @@ def test_knn_vote_fractions_sum_to_one(rng):
     model = KNNModel(k=5).fit(X, y)
     scores = model.predict_scores(rng.normal(size=(17, 4)))
     np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_knn_scores_do_not_depend_on_the_block_size(rng, monkeypatch):
+    # Small-integer rows repeat and make every distance exact in any BLAS
+    # kernel, so many training rows tie at each query's k-th distance.
+    X = rng.integers(0, 3, size=(300, 4)).astype(float)
+    y = rng.integers(0, 3, size=300)
+    queries = rng.integers(0, 3, size=(600, 4)).astype(float)
+    d2 = ((queries[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    kth = np.sort(d2, axis=1)[:, 4:5]
+    assert ((d2 <= kth).sum(axis=1) > 5).mean() > 0.5
+    model = KNNModel(k=5).fit(X, y)
+    digests = set()
+    for rows in (1, 3, 7, 512):
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", rows * 8 * X.shape[0])
+        digests.add(hashlib.sha256(model.predict_scores(queries).tobytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_nearest_centroid_hand_case():

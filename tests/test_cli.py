@@ -349,7 +349,11 @@ def test_integer_beyond_float64_precision_is_data_error(column, command, tmp_pat
 
 @pytest.mark.parametrize(
     "name, hyperparameter, value",
-    [("random_forest", "n_trees", 0), ("extra_tree", "seed", -1)],
+    [
+        ("random_forest", "n_trees", 0),
+        ("extra_tree", "seed", -1),
+        ("linear_svm_sgd", "seed", -1),
+    ],
 )
 def test_model_file_rejected_by_constructor_is_model_error(
     name, hyperparameter, value, synth_csv, tmp_path, capsys

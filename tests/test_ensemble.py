@@ -1,11 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from flowbench.classifiers import (
+    MODEL_CLASSES,
     BaggingModel,
     DecisionTreeModel,
     ExtraTreeModel,
     ExtraTreesModel,
+    LinearSVMModel,
     RandomForestModel,
 )
 
@@ -68,10 +72,12 @@ def test_ensemble_scores_average_to_distributions(rng):
 
 
 def test_seed_must_be_non_negative_integer():
-    with pytest.raises(ValueError):
-        BaggingModel(seed=-1)
-    for bad in (-1, 1.5, [5, 0]):
-        with pytest.raises(ValueError, match="seed"):
-            ExtraTreeModel(seed=bad)
+    seeded = [cls for cls in MODEL_CLASSES.values()
+              if "seed" in inspect.signature(cls).parameters]
+    assert {LinearSVMModel, ExtraTreeModel, BaggingModel} <= set(seeded)
+    for cls in seeded:
+        for bad in (-1, 1.5, [5, 0]):
+            with pytest.raises(ValueError, match="seed"):
+                cls(seed=bad)
     with pytest.raises(ValueError):
         RandomForestModel(n_trees=0)

@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -75,7 +76,7 @@ def _reference_parse(source) -> list[FlowRecord]:
 
 def _reference_text_stream(source) -> io.StringIO:
     if isinstance(source, (str, Path)):
-        return io.StringIO(Path(source).read_text(encoding="utf-8-sig"))
+        source = Path(source).read_bytes()
     if isinstance(source, (bytes, bytearray)):
         return io.StringIO(source.decode("utf-8-sig"))
     data = source.read()
@@ -129,6 +130,15 @@ def test_leading_byte_order_mark_is_dropped(kind, tmp_path):
     source = {"path": path, "str path": str(path), "bytes": data,
               "byte stream": io.BytesIO(data)}[kind]
     assert parse_dataset(source) == parse_dataset(csv_bytes(FIGURE_ROW))
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "byte stream"])
+def test_quoted_line_break_keeps_its_bytes(kind, tmp_path):
+    data = _file([_with_cells(Family='"Wanna\r\nCry"'), FIGURE_ROW], newline="\r\n")
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(data)
+    source = {"path": path, "bytes": data, "byte stream": io.BytesIO(data)}[kind]
+    assert [r.family for r in parse_dataset(source)] == ["Wanna\r\nCry", "WannaCry"]
 
 
 def test_column_table_names_the_record_fields_in_order():
@@ -360,6 +370,8 @@ def _small_chunk_cases() -> dict[str, list[str]]:
     good = _synth_lines(3 * SMALL_CHUNK + 2)
     bad_port = _with_cells(Port="70000")
     long_cell = _with_cells(Family="x" * (csv.field_size_limit() + 1))
+    # int() refuses this legal literal, so its column takes the cell parser's path.
+    padded = "0" * sys.get_int_max_str_digits() + "7"
     return {
         "bad cell opening the second chunk": good[:SMALL_CHUNK] + [bad_port] + good,
         "blank lines before it": good[:SMALL_CHUNK - 1] + ["", ""] + [bad_port] + good,
@@ -374,6 +386,13 @@ def _small_chunk_cases() -> dict[str, list[str]]:
         ],
         "padded cell in a later chunk": (
             good[:SMALL_CHUNK + 1] + [_with_cells(USD="0" * 5000 + "7")] + good
+        ),
+        "padded cells in one chunk": good[:SMALL_CHUNK] + [
+            _with_cells(Time=padded, Port=" " + "0" * 5000 + "80"), good[0],
+            _with_cells(Port=padded),
+        ] + good,
+        "padded cell, then a bad cell in its chunk": (
+            good[:SMALL_CHUNK] + [_with_cells(USD=padded), good[0], bad_port] + good
         ),
         "cell beyond int64": good[:2 * SMALL_CHUNK] + [_with_cells(BTC=str(2**64))] + good,
         "cell between 2**53 and int64": good[:2] + [_with_cells(Clusters=str(-(2**60)))],
@@ -408,6 +427,7 @@ def test_chunk_boundary_errors_name_the_row_in_file_order(monkeypatch):
         "wrong field count after a bad cell": "row 6: Port: value 70000 outside 0..65535",
         "bad cell after a wrong field count": "row 6: expected 14 fields, found 15",
         "cell beyond int64": "row 9: BTC: integer magnitude above 2**53",
+        "padded cell, then a bad cell in its chunk": "row 7: Port: value 70000 outside 0..65535",
         "unreadable line after a bad cell": "row 3: Port: value 70000 outside 0..65535",
         "unreadable line alone": (
             f"row {SMALL_CHUNK + 2}: field larger than field limit ({csv.field_size_limit()})"

@@ -30,8 +30,7 @@ class KNNModel(Classifier):
         self._neighbor_basis: np.ndarray | None = None
 
     def _fit(self, X, codes):
-        if self.k > X.shape[0]:
-            raise ValueError(f"k={self.k} exceeds the training size ({X.shape[0]})")
+        self._check_k(X.shape[0])
         self.train_rows_ = X.copy()
         self.train_codes_ = codes.copy()
         self._prepare_lookup()
@@ -54,12 +53,7 @@ class KNNModel(Classifier):
             block = X[start : start + block_rows]
             augmented = np.hstack([block, ones[: block.shape[0]]])
             d2 = augmented @ self._neighbor_basis
-            if self.k < n_train:
-                nearest = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-            else:
-                nearest = np.broadcast_to(
-                    np.arange(n_train), (block.shape[0], n_train)
-                )
+            nearest = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
             votes = self.train_codes_[nearest]
             counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)
             out[start : start + block_rows] = counts / self.k
@@ -67,7 +61,12 @@ class KNNModel(Classifier):
 
     def _load_state(self, state):
         super()._load_state(state)
+        self._check_k(self.train_rows_.shape[0])
         self._prepare_lookup()
+
+    def _check_k(self, n_train):
+        if self.k > n_train:
+            raise ValueError(f"k={self.k} exceeds the training size ({n_train})")
 
 
 class NearestCentroidModel(Classifier):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 from flowbench.classifiers.base import Classifier
 from flowbench.classifiers.registry import MODEL_CLASSES
-from flowbench.features import Scaler
+from flowbench.features import CATEGORICAL_COLUMNS, Scaler
+from flowbench.flow_data import MAX_EXACT_INTEGER
 
 FORMAT_VERSION = 1
 
@@ -48,7 +49,12 @@ def save_model(
 
 
 def load_model(path) -> ModelArtifact:
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelFormatError(f"not a UTF-8 JSON document: {exc}") from None
+    if not isinstance(document, dict):
+        raise ModelFormatError("the document is not a JSON object")
     version = document.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format_version: {version!r}")
@@ -61,9 +67,25 @@ def load_model(path) -> ModelArtifact:
         scaler_doc = document.get("scaler")
         return ModelArtifact(
             model=model,
-            encoders=document["encoders"],
+            encoders=_checked_encoders(document["encoders"]),
             scaler=Scaler.from_json_dict(scaler_doc) if scaler_doc else None,
             column_names=list(document["column_names"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
+
+
+def _checked_encoders(encoders) -> dict[str, dict[str, int]]:
+    """The encoders, when each categorical column maps text to integer codes.
+
+    A code must lie within ±MAX_EXACT_INTEGER, as every encoded feature does.
+    """
+    if not isinstance(encoders, dict):
+        raise ModelFormatError("encoders must be a JSON object")
+    for name in CATEGORICAL_COLUMNS:
+        codes = encoders.get(name)
+        if not isinstance(codes, dict) or not all(
+            type(code) is int and abs(code) <= MAX_EXACT_INTEGER for code in codes.values()
+        ):
+            raise ModelFormatError(f"encoders[{name!r}] must map text to integer codes")
+    return encoders

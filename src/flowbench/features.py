@@ -1,9 +1,13 @@
-"""Feature encoding, z-score scaling, and deterministic stratified splitting."""
+"""Feature encoding, z-score scaling, and deterministic stratified splitting.
+
+Encoding reads a FlowTable column by column: integer columns pass through,
+and each text column maps its vocabulary to codes once and gathers them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -79,16 +83,14 @@ class SplitPlan:
     test_indices: np.ndarray
 
 
-def fit_transform(records: Sequence[FlowRecord], scale: bool = False) -> FeatureMatrix:
-    """Encode records into a FeatureMatrix, fitting encoders (and a scaler).
+def fit_transform(table: FlowTable, scale: bool = False) -> FeatureMatrix:
+    """Encode a table into a FeatureMatrix, fitting encoders (and a scaler).
 
-    `records` is a FlowTable or a list of FlowRecords. Categorical columns
-    map to integer codes by lexicographic rank of the vocabulary seen here;
-    numeric columns pass through. With scale=True a z-score scaler is fitted
-    on these records and applied to `rows`; constant columns are centered
-    only, so they come out as all zeros.
+    Categorical columns map to integer codes by lexicographic rank of the
+    vocabulary seen here; numeric columns pass through. With scale=True a
+    z-score scaler is fitted on these rows and applied to `rows`;
+    constant columns are centered only, so they come out as all zeros.
     """
-    table = FlowTable.from_records(records)
     if not len(table):
         raise ValueError("fit_transform requires at least one record")
     encoders = {
@@ -111,15 +113,12 @@ def fit_transform(records: Sequence[FlowRecord], scale: bool = False) -> Feature
     )
 
 
-def encode_records(
-    records: Sequence[FlowRecord], encoders: dict[str, dict[str, int]]
-) -> np.ndarray:
+def encode_records(table: FlowTable, encoders: dict[str, dict[str, int]]) -> np.ndarray:
     """Apply fitted encoders; unseen categorical values map to UNSEEN_CODE.
 
-    `records` is a FlowTable or a list of FlowRecords. A categorical column
-    encodes through one lookup array over its vocabulary and one gather.
+    A categorical column encodes through one lookup array over its
+    vocabulary and one gather.
     """
-    table = FlowTable.from_records(records)
     out = np.empty((len(table), len(FEATURE_COLUMNS)), dtype=np.float64)
     for j, name in enumerate(FEATURE_COLUMNS):
         column = table.columns[name]
@@ -134,9 +133,9 @@ def encode_records(
     return out
 
 
-def transform(matrix: FeatureMatrix, records: Sequence[FlowRecord]) -> np.ndarray:
-    """Encode new records (a FlowTable or list) with the matrix's fitted encoders and scaler."""
-    rows = encode_records(records, matrix.encoders)
+def transform(matrix: FeatureMatrix, table: FlowTable) -> np.ndarray:
+    """Encode a new table with the matrix's fitted encoders and scaler."""
+    rows = encode_records(table, matrix.encoders)
     if matrix.scaler is not None:
         rows = matrix.scaler.apply(rows)
     return rows

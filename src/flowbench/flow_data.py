@@ -13,6 +13,10 @@ or raises ValueError; cells are checked in canonical order, so a row with
 several bad cells reports the first of them. Integer columns' parsers are
 `IntegerCell`s, which declare the column's bounds.
 
+`FlowTable` is the one in-memory dataset: `parse_dataset` and the generator
+build it, and the encoder and `summarize` read it by column. Rows exist as
+FlowRecords only where a table is iterated or indexed.
+
 `parse_dataset` reads CHUNK_ROWS rows at a time and parses each chunk column
 by column into a `FlowTable`; every value comes from these columns. A chunk
 that fails any check is walked row by row with the cell parsers only to
@@ -217,7 +221,7 @@ class TextColumn(NamedTuple):
 
 
 class FlowTable(Sequence):
-    """Parsed flows held by column; a read-only sequence of FlowRecords.
+    """Flows held by column; a read-only sequence of FlowRecords.
 
     `columns` maps each feature header to an int64 array (integer columns) or
     a TextColumn; `labels` holds the class codes. Rows are built only when
@@ -227,22 +231,6 @@ class FlowTable(Sequence):
     def __init__(self, columns: dict, labels: np.ndarray):
         self.columns = columns
         self.labels = labels
-
-    @classmethod
-    def from_records(cls, records: Sequence[FlowRecord]) -> "FlowTable":
-        """The records as a table; a table is returned as it is."""
-        if isinstance(records, FlowTable):
-            return records
-        values = list(zip(*records)) or [()] * len(COLUMNS)
-        columns = {
-            header: (
-                np.array(column, dtype=np.int64)
-                if isinstance(parse, IntegerCell)
-                else TextColumn.of(column)
-            )
-            for (header, _, parse), column in zip(COLUMNS[:-1], values)
-        }
-        return cls(columns, np.array(values[-1], dtype=np.int64))
 
     def __len__(self) -> int:
         return self.labels.size
@@ -262,20 +250,22 @@ class FlowTable(Sequence):
     __hash__ = None
 
     def _records(self, rows: slice) -> Iterator[FlowRecord]:
+        # Rows exist only where a table is iterated or indexed, so they are
+        # built here with one gather per field and no Python-level call per row.
         fields = []
         for column in self.columns.values():
             if isinstance(column, TextColumn):
-                values = map(column.vocabulary.__getitem__, column.codes[rows].tolist())
+                values = np.array(column.vocabulary, dtype=object)[column.codes[rows]]
             else:
-                values = column[rows].tolist()
-            fields.append(values)
-        fields.append(map(_CLASSES.__getitem__, self.labels[rows].tolist()))
-        return map(FlowRecord._make, zip(*fields))
+                values = column[rows]
+            fields.append(values.tolist())
+        fields.append(np.array(_CLASSES, dtype=object)[self.labels[rows]].tolist())
+        return map(tuple.__new__, itertools.repeat(FlowRecord), zip(*fields))
 
 
 @dataclass
 class DatasetSummary:
-    """Exact counts over a record list: rows, distinct values, histograms."""
+    """Exact counts over a table: rows, distinct values, histograms."""
 
     row_count: int
     distinct_counts: dict[str, int]
@@ -468,9 +458,8 @@ def records_to_csv(records: Iterable[FlowRecord]) -> str:
     return buffer.getvalue()
 
 
-def summarize(records: Sequence[FlowRecord]) -> DatasetSummary:
+def summarize(table: FlowTable) -> DatasetSummary:
     """Row count, per-column distinct-value counts, family and class histograms."""
-    table = FlowTable.from_records(records)
     family = table.columns["Family"]
     family_sizes = np.bincount(family.codes, minlength=len(family.vocabulary)).tolist()
     classes = np.bincount(table.labels, minlength=len(ThreatClass)).tolist()

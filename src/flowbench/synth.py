@@ -5,13 +5,15 @@ comes from a class-conditional distribution with probability signal_strength
 and from a shared class-agnostic distribution otherwise, so strength 0 makes
 features independent of labels while strength 1 gives nearly disjoint
 class-conditional ranges (BTC/USD/netflow tiers, protocol and threat mixes).
+Each column is drawn as one array, and the arrays form the FlowTable that
+`generate_records` returns, so no per-row record is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from flowbench.flow_data import FlowRecord, ThreatClass
+from flowbench.flow_data import CANONICAL_COLUMNS, FlowTable, TextColumn
 
 _FAMILY_POOLS = {
     0: ["EDA2", "Flyper", "Globe", "JigSaw", "NoobCrypt", "Razy"],
@@ -80,10 +82,8 @@ _EXP_ADDRESSES = [
 ]
 
 
-def generate_records(
-    n: int, seed: int, signal_strength: float = 1.0
-) -> list[FlowRecord]:
-    """Generate n schema-valid records; deterministic for a fixed seed."""
+def generate_records(n: int, seed: int, signal_strength: float = 1.0) -> FlowTable:
+    """Generate a table of n schema-valid records; deterministic for a fixed seed."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0.0 <= signal_strength <= 1.0:
@@ -91,9 +91,8 @@ def generate_records(
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 3, size=n)
 
-    # Values are drawn from object arrays so that every row refers to the
-    # vocabulary's own str and int objects, as parsed rows share interned
-    # text; a numpy string array would give each cell its own copy.
+    # Values are drawn from object arrays so that text columns hold plain
+    # str, as parsed ones do; a numpy string array would give np.str_ values.
     def mixed_choice(values, shared_p, class_p):
         values = np.array(values, dtype=object)
         out = rng.choice(values, size=n, p=shared_p)
@@ -126,15 +125,17 @@ def generate_records(
     netflow = mixed_integers(_NETFLOW_RANGES)
     ip_classes = mixed_choice(_IP_CLASSES, _IP_SHARED, _IP_CLASS)
     threats = mixed_choice(_THREATS, _THREAT_SHARED, _THREAT_CLASS)
-    ports = mixed_choice(_PORTS, _PORT_SHARED, _PORT_CLASS)
+    ports = mixed_choice(_PORTS, _PORT_SHARED, _PORT_CLASS).astype(np.int64)
 
     columns = (times, protocols, flags, families, clusters, seed_addresses,
                exp_addresses, btc, usd, netflow, ip_classes, threats, ports)
-    classes = list(ThreatClass)
-    predictions = [classes[code] for code in labels.tolist()]
-    return [
-        FlowRecord(*row) for row in zip(*(c.tolist() for c in columns), predictions)
-    ]
+    return FlowTable(
+        {
+            header: TextColumn.of(column) if column.dtype == object else column
+            for header, column in zip(CANONICAL_COLUMNS, columns)
+        },
+        labels,
+    )
 
 
 def _mixed_families(rng, labels, n, signal_strength):

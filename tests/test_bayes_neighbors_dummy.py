@@ -63,6 +63,16 @@ def test_knn_tie_with_k_equal_n_resolves_to_class_zero():
     assert predicted.tolist() == [0, 0]
 
 
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_knn_with_k_equal_n_scores_the_class_shares_of_all_rows(n, rng):
+    X = rng.normal(size=(n, 3))
+    y = rng.integers(0, 3, size=n)
+    model = KNNModel(k=n).fit(X, y)
+    shares = np.bincount(np.unique(y, return_inverse=True)[1]) / n
+    scores = model.predict_scores(rng.normal(size=(9, 3)))
+    assert np.array_equal(scores, np.broadcast_to(shares, scores.shape))
+
+
 def test_knn_rejects_k_above_training_size():
     with pytest.raises(ValueError, match="exceeds"):
         KNNModel(k=5).fit(np.zeros((3, 2)), np.array([0, 1, 0]))

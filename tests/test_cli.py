@@ -269,6 +269,55 @@ def test_predict_rejects_bad_model_file(synth_csv, tmp_path, capsys):
     assert "format_version" in capsys.readouterr().err
 
 
+def _with_encoders(document, encoders) -> bytes:
+    return json.dumps({**document, "encoders": encoders}).encode()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: b"[]",
+        lambda doc: b"not json",
+        lambda doc: b"\xff\xfe",
+        lambda doc: _with_encoders(doc, {}),
+        lambda doc: _with_encoders(doc, 5),
+        lambda doc: _with_encoders(doc, {**doc["encoders"], "Flag": {"A": "x"}}),
+        lambda doc: _with_encoders(doc, {**doc["encoders"], "Flag": {"A": True}}),
+        lambda doc: _with_encoders(doc, {**doc["encoders"], "Flag": {"A": 10**400}}),
+    ],
+    ids=["list", "not-json", "not-utf8", "no-encoders", "encoders-int", "code-text",
+         "code-bool", "code-beyond-float"],
+)
+def test_model_file_that_is_not_a_model_document_is_model_error(
+    edit, synth_csv, tmp_path, capsys
+):
+    model_file = tmp_path / "model.json"
+    assert main(["train", "--data", str(synth_csv), "--model", "dummy",
+                 "--output", str(model_file)]) == EXIT_OK
+    model_file.write_bytes(edit(json.loads(model_file.read_text())))
+    capsys.readouterr()
+    assert main(["predict", "--data", str(synth_csv),
+                 "--model-file", str(model_file)]) == EXIT_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and err.count("\n") == 1
+
+
+def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, capsys):
+    model_file = tmp_path / "model.json"
+    assert main(["train", "--data", str(synth_csv), "--model", "knn",
+                 "--output", str(model_file)]) == EXIT_OK
+    document = json.loads(model_file.read_text())
+    for key in ("train_rows", "train_codes"):
+        document["state"][key] = document["state"][key][:3]
+    model_file.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["predict", "--data", str(synth_csv),
+                 "--model-file", str(model_file)]) == EXIT_MODEL
+    assert capsys.readouterr().err == (
+        "model error: malformed model document: k=5 exceeds the training size (3)\n"
+    )
+
+
 def test_synth_validates_arguments(tmp_path):
     assert main(["synth", "--rows", "0"]) == EXIT_USAGE
     assert main(["synth", "--rows", "5", "--signal-strength", "2.0"]) == EXIT_USAGE

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from flowbench import flow_data
-from flowbench.features import fit_transform, transform
+from flowbench.features import fit_transform
 from flowbench.flow_data import (
     CANONICAL_COLUMNS,
     COLUMN_FIELDS,
@@ -17,6 +17,7 @@ from flowbench.flow_data import (
     FlowTable,
     RowError,
     SchemaError,
+    TextColumn,
     ThreatClass,
     parse_dataset,
     records_to_csv,
@@ -328,7 +329,7 @@ def test_threat_class_rejects_unknown_token():
 
 
 def test_summarize_empty():
-    summary = summarize([])
+    summary = summarize(parse_dataset(csv_bytes()))
     assert summary.row_count == 0
     assert summary.family_counts == {}
     assert all(count == 0 for count in summary.class_counts.values())
@@ -465,20 +466,20 @@ def test_chunked_parse_matches_reference_on_export_variants(newline, index, bom,
 
 
 def test_flow_table_is_a_sequence_of_the_parsed_records(synth_records):
-    table = parse_dataset(records_to_csv(synth_records).encode())
+    records = list(synth_records)
+    table = parse_dataset(records_to_csv(records).encode())
     assert isinstance(table, FlowTable)
-    assert len(table) == len(synth_records)
-    assert table[0] == synth_records[0]
-    assert table[-1] == synth_records[-1]
-    assert table[-len(table)] == synth_records[0]
+    assert len(table) == len(records)
+    assert table[0] == records[0]
+    assert table[-1] == records[-1]
+    assert table[-len(table)] == records[0]
     for index in (len(table), -len(table) - 1):
         with pytest.raises(IndexError):
             table[index]
-    assert list(table) == synth_records
+    assert list(table) == records
+    assert table == records and records == table
+    assert table != records[:-1]
     assert table == synth_records and synth_records == table
-    assert table != synth_records[:-1]
-    assert table == FlowTable.from_records(synth_records)
-    assert FlowTable.from_records(table) is table
 
 
 def test_header_only_table_is_empty():
@@ -497,17 +498,28 @@ def test_summary_of_table_equals_summary_of_records(synth_records):
     }
 
 
-def test_table_and_record_list_encode_alike(synth_records):
-    table = parse_dataset(records_to_csv(synth_records).encode())
-    unseen = [synth_records[0]._replace(family="Unseen", protocol="ICMP"), synth_records[1]]
+@pytest.mark.parametrize("n", [1, 1000, 4097])
+@pytest.mark.parametrize("strength", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_generated_table_equals_the_table_its_csv_parses_to(seed, strength, n):
+    generated = generate_records(n, seed=seed, signal_strength=strength)
+    parsed = parse_dataset(records_to_csv(generated).encode())
+    assert parsed == generated
+    assert list(parsed.columns) == list(generated.columns)
+    for header, column in generated.columns.items():
+        other = parsed.columns[header]
+        if isinstance(column, TextColumn):
+            assert other.vocabulary == column.vocabulary
+            other, column = other.codes, column.codes
+        assert other.dtype == column.dtype
+        np.testing.assert_array_equal(other, column)
+    assert parsed.labels.dtype == generated.labels.dtype
+    np.testing.assert_array_equal(parsed.labels, generated.labels)
     for scale in (False, True):
-        from_table = fit_transform(table, scale=scale)
-        from_list = fit_transform(synth_records, scale=scale)
-        for field in ("rows", "labels", "encoded"):
-            np.testing.assert_array_equal(getattr(from_table, field), getattr(from_list, field))
-        assert from_table.encoders == from_list.encoders
-        for query in (synth_records[:7], unseen):
+        from_parsed = fit_transform(parsed, scale=scale)
+        from_generated = fit_transform(generated, scale=scale)
+        for field in ("rows", "encoded", "labels"):
             np.testing.assert_array_equal(
-                transform(from_table, FlowTable.from_records(query)),
-                transform(from_list, query),
+                getattr(from_parsed, field), getattr(from_generated, field)
             )
+        assert from_parsed.encoders == from_generated.encoders

@@ -10,8 +10,12 @@ from flowbench.classifiers import (
     make_model,
     save_model,
 )
-from flowbench.features import fit_transform, transform
+from flowbench.features import CATEGORICAL_COLUMNS, fit_transform, transform
 from flowbench.synth import generate_records
+
+# A loadable file maps every text column to codes; the hand-built files below
+# test the state, so their encoders are empty.
+ENCODERS = {name: {} for name in CATEGORICAL_COLUMNS}
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +120,7 @@ def test_model_file_with_stored_feature_masks_still_loads(tmp_path):
             ],
             "feature_masks": [[False, True], [False, False]],
         },
-        "encoders": {},
+        "encoders": ENCODERS,
         "scaler": None,
         "column_names": ["a", "b"],
     }
@@ -148,7 +152,7 @@ def test_single_tree_file_with_one_stored_tree_still_loads(name, tmp_path):
             "tree": {"feature": 0, "threshold": 0.5, "left": {"dist": [1.0, 0.0]},
                      "right": {"dist": [0.0, 1.0]}},
         },
-        "encoders": {},
+        "encoders": ENCODERS,
         "scaler": None,
         "column_names": ["a"],
     }
@@ -177,7 +181,7 @@ def test_knn_model_file_with_stored_k_still_loads(tmp_path):
             "train_codes": [0, 1],
             "k": 1,
         },
-        "encoders": {},
+        "encoders": ENCODERS,
         "scaler": None,
         "column_names": ["a"],
     }

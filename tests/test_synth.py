@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ def test_generator_is_deterministic():
         (1000, 7, 0.9, "d0ae4e102abaeb20bc85c7d8be53745443722f576e33a0e39aac45bcfebedd7c"),
         (1000, 7, 0.6, "c5f1392114a8c1ba16dfcdb8fb3704cd3a33d03e30cd0109caf456b2362dee72"),
         (1, 1, 1.0, "5615e1b6917905ddb8162a1a1baada721503be00ee95f27c73964059a8f3ddff"),
+        (1, 8, 1.0, "7700debcb4d474b2c7140115f56e7e3e64bf031aa4f5e36892ffc853c09e5c7d"),
+        (4097, 8, 0.0, "21e770b47b9681fb3f2063a1ffe522dcb4f9120d92e7f69220661ef5919a1fe3"),
+        (1000, 1, 1.0, "a32c17c3dc17182f7e7bf953224eae29c6d922402481e6855d5ceb1d6a4757e5"),
     ],
 )
 def test_generated_csv_bytes_are_pinned(n, seed, strength, digest):
@@ -51,7 +55,7 @@ def test_generated_records_are_schema_valid():
     summary = summarize(records)
     assert summary.row_count == 500
     assert sum(summary.class_counts.values()) == 500
-    for r in records[:50]:
+    for r in itertools.islice(records, 50):
         assert r.protocol in ("TCP", "UDP", "ICMP")
         assert 0 <= r.port <= 65535
         assert r.btc >= 0 and r.usd >= 0 and r.netflow_bytes >= 0

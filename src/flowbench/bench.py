@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from flowbench.classifiers import MODEL_NAMES, make_model, validated_seed
-from flowbench.features import FeatureMatrix, SplitPlan, k_folds
+from flowbench.features import FEATURE_COLUMNS, FeatureMatrix, SplitPlan, k_folds
 from flowbench.metrics import (
     CVResult,
     accuracy,
@@ -98,16 +98,16 @@ def run_benchmark(
             scores, predicted, elapsed = fit_and_score(
                 new_model, matrix, plan.train_indices, plan.test_indices
             )
-            cm = confusion(test_labels, predicted, n_classes)
+            counts = confusion(test_labels, predicted, n_classes)
             report = EvalReport(
                 model=name,
-                accuracy=accuracy(cm),
-                balanced_accuracy=balanced_accuracy(cm),
+                accuracy=accuracy(counts),
+                balanced_accuracy=balanced_accuracy(counts),
                 roc_auc_macro=macro_auc(test_labels, scores),
-                f1_weighted=f1(cm, "weighted"),
-                f1_macro=f1(cm, "macro"),
+                f1_weighted=f1(counts, "weighted"),
+                f1_macro=f1(counts, "macro"),
                 time_taken_s=elapsed,
-                confusion=cm.counts.tolist(),
+                confusion=counts.tolist(),
             )
             if folds is not None:
                 report.cv = cv_evaluate(
@@ -149,9 +149,7 @@ def macro_auc(y_true, scores) -> float | None:
 
 
 def fingerprint(matrix: FeatureMatrix) -> dict:
-    column_hash = hashlib.sha256(
-        ",".join(matrix.column_names).encode("utf-8")
-    ).hexdigest()[:16]
+    column_hash = hashlib.sha256(",".join(FEATURE_COLUMNS).encode("utf-8")).hexdigest()[:16]
     return {"rows": int(matrix.labels.size), "column_hash": column_hash}
 
 

@@ -62,6 +62,8 @@ class KNNModel(Classifier):
     def _load_state(self, state):
         super()._load_state(state)
         self._check_k(self.train_rows_.shape[0])
+        if not np.isin(self.train_codes_, np.arange(self.classes_.size)).all():
+            raise ValueError(f"train_codes must lie in 0..{self.classes_.size - 1}")
         self._prepare_lookup()
 
     def _check_k(self, n_train):

@@ -492,6 +492,8 @@ class DecisionTreeModel(Classifier):
     def _load_state(self, state):
         # Single-tree files written before every tree model stored a list.
         docs = state["trees"] if "trees" in state else [state["tree"]]
+        if len(docs) != self.n_trees:
+            raise ValueError(f"expected {self.n_trees} trees, found {len(docs)}")
         self.trees_ = [TreeNode.from_dict(doc) for doc in docs]
 
 

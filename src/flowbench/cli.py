@@ -253,13 +253,7 @@ def _cmd_train(args) -> int:
         raise _UsageError(str(exc)) from None
     try:
         model.fit(matrix.rows_for(model), matrix.labels)
-        save_model(
-            args.output,
-            model,
-            encoders=matrix.encoders,
-            scaler=matrix.scaler,
-            column_names=matrix.column_names,
-        )
+        save_model(args.output, model, encoders=matrix.encoders, scaler=matrix.scaler)
     except (OSError, ValueError, RuntimeError) as exc:
         raise _ModelError(str(exc)) from exc
     print(f"saved {args.model} to {args.output} ({len(records)} training rows)")
@@ -277,9 +271,8 @@ def _cmd_predict(args) -> int:
     except Exception as exc:
         raise _ModelError(str(exc)) from exc
     codes = predicted.tolist()
-    # One line ending per class code, in order of first appearance, so an
-    # unknown code fails where the row-by-row lines would have.
-    endings = {code: f",{code},{ThreatClass(code).token}\n" for code in dict.fromkeys(codes)}
+    # load_model admits only known class codes, so each indexes its line ending.
+    endings = [f",{code},{token}\n" for code, token in enumerate(_CLASS_TOKENS)]
     body = "".join(map(str.__add__, map(str, range(len(codes))), map(endings.__getitem__, codes)))
     _emit("row,prediction_code,prediction\n" + body, args.output)
     return EXIT_OK

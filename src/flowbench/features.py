@@ -7,20 +7,17 @@ and each text column maps its vocabulary to codes once and gathers them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import get_type_hints
 
 import numpy as np
 
-from flowbench.flow_data import CANONICAL_COLUMNS, FlowRecord, FlowTable
+from flowbench.flow_data import CANONICAL_COLUMNS, COLUMNS, FlowTable, IntegerCell
 
-# Every column but the label, which is the last field of a FlowRecord.
+# Every column but the label, which comes last.
 FEATURE_COLUMNS = CANONICAL_COLUMNS[:-1]
-# The text-valued features, in canonical order; this order is the encoder
-# order that model files store.
+# The text-valued features, in canonical order: the columns the parser codes
+# by vocabulary. This order is the encoder order that model files store.
 CATEGORICAL_COLUMNS = tuple(
-    column
-    for column, kind in zip(FEATURE_COLUMNS, get_type_hints(FlowRecord).values())
-    if kind is str
+    header for header, parse in COLUMNS[:-1] if not isinstance(parse, IntegerCell)
 )
 
 # Code assigned to categorical values never seen while fitting the encoders.
@@ -61,7 +58,6 @@ class FeatureMatrix:
 
     rows: np.ndarray
     labels: np.ndarray
-    column_names: list[str]
     encoders: dict[str, dict[str, int]]
     scaler: Scaler | None
     encoded: np.ndarray
@@ -106,7 +102,6 @@ def fit_transform(table: FlowTable, scale: bool = False) -> FeatureMatrix:
     return FeatureMatrix(
         rows=rows,
         labels=table.labels,
-        column_names=list(FEATURE_COLUMNS),
         encoders=encoders,
         scaler=scaler,
         encoded=encoded,

@@ -5,17 +5,18 @@ The expected layout is comma-delimited UTF-8 with a mandatory header row of
 reordered exports parse identically, and a leading unnamed index column (as
 produced by dataframe dumps) is tolerated and discarded.
 
-`COLUMNS` is the schema: one (CSV header, FlowRecord field, cell parser)
-entry per column, in canonical order, with the Prediction label last. The
-parser, `records_to_csv`, the feature encoder and the synthetic generator all
-follow it. Each cell parser takes the stripped cell text and returns its value
-or raises ValueError; cells are checked in canonical order, so a row with
-several bad cells reports the first of them. Integer columns' parsers are
-`IntegerCell`s, which declare the column's bounds.
+`COLUMNS` is the schema: one (CSV header, cell parser) entry per column, in
+canonical order, with the Prediction label last; `FlowRecord` names the same
+columns' fields in the same order. The parser, `records_to_csv`, the feature
+encoder and the synthetic generator all follow it. Each cell parser takes the
+stripped cell text and returns its value or raises ValueError; cells are
+checked in canonical order, so a row with several bad cells reports the first
+of them. Integer columns' parsers are `IntegerCell`s, which declare the
+column's bounds; every other column is coded by vocabulary.
 
 `FlowTable` is the one in-memory dataset: `parse_dataset` and the generator
 build it, and the encoder and `summarize` read it by column. Rows exist as
-FlowRecords only where a table is iterated or indexed.
+FlowRecords only where a table is iterated.
 
 `parse_dataset` reads CHUNK_ROWS rows at a time and parses each chunk column
 by column into a `FlowTable`; every value comes from these columns. A chunk
@@ -29,7 +30,6 @@ import csv
 import enum
 import io
 import itertools
-import operator
 import re
 import sys
 from collections import Counter
@@ -65,13 +65,6 @@ class ThreatClass(enum.IntEnum):
     def token(self) -> str:
         return _CLASS_TO_TOKEN[self]
 
-    @classmethod
-    def from_token(cls, token: str) -> "ThreatClass":
-        try:
-            return _TOKEN_TO_CLASS[token]
-        except KeyError:
-            raise ValueError(f"unknown prediction label {token!r}") from None
-
 
 _TOKEN_TO_CLASS = {
     "A": ThreatClass.ANOMALY,
@@ -83,7 +76,7 @@ _CLASSES = tuple(ThreatClass)
 
 
 class FlowRecord(NamedTuple):
-    """One parsed flow row; its fields follow the order of COLUMNS."""
+    """One parsed flow row; its fields name the columns of COLUMNS, in order."""
 
     time: int
     protocol: str
@@ -179,23 +172,22 @@ def _label(cell: str) -> ThreatClass:
 _text = sys.intern
 
 COLUMNS = (
-    ("Time", "time", _amount),
-    ("Protocol", "protocol", _protocol),
-    ("Flag", "flag", _text),
-    ("Family", "family", _text),
-    ("Clusters", "clusters", IntegerCell(-MAX_EXACT_INTEGER, MAX_EXACT_INTEGER)),
-    ("SeedAddress", "seed_address", _text),
-    ("ExpAddress", "exp_address", _text),
-    ("BTC", "btc", _amount),
-    ("USD", "usd", _amount),
-    ("Netflow_Bytes", "netflow_bytes", _amount),
-    ("IPaddress", "ip_class", _text),
-    ("Threats", "threat", _text),
-    ("Port", "port", IntegerCell(0, 65535)),
-    ("Prediction", "prediction", _label),
+    ("Time", _amount),
+    ("Protocol", _protocol),
+    ("Flag", _text),
+    ("Family", _text),
+    ("Clusters", IntegerCell(-MAX_EXACT_INTEGER, MAX_EXACT_INTEGER)),
+    ("SeedAddress", _text),
+    ("ExpAddress", _text),
+    ("BTC", _amount),
+    ("USD", _amount),
+    ("Netflow_Bytes", _amount),
+    ("IPaddress", _text),
+    ("Threats", _text),
+    ("Port", IntegerCell(0, 65535)),
+    ("Prediction", _label),
 )
-CANONICAL_COLUMNS = [header for header, _, _ in COLUMNS]
-COLUMN_FIELDS = {header: field for header, field, _ in COLUMNS}
+CANONICAL_COLUMNS = [header for header, _ in COLUMNS]
 
 # Data rows parsed per chunk: enough to amortize the per-column calls, few
 # enough that a chunk's cells take a few MB.
@@ -220,12 +212,11 @@ class TextColumn(NamedTuple):
         return cls(vocabulary, codes)
 
 
-class FlowTable(Sequence):
-    """Flows held by column; a read-only sequence of FlowRecords.
+class FlowTable:
+    """Flows held by column; iterating a table yields its rows as FlowRecords.
 
     `columns` maps each feature header to an int64 array (integer columns) or
-    a TextColumn; `labels` holds the class codes. Rows are built only when
-    indexed or iterated, and a table equals the list of the same records.
+    a TextColumn; `labels` holds the class codes.
     """
 
     def __init__(self, columns: dict, labels: np.ndarray):
@@ -235,31 +226,15 @@ class FlowTable(Sequence):
     def __len__(self) -> int:
         return self.labels.size
 
-    def __getitem__(self, index) -> FlowRecord:
-        row = range(len(self))[operator.index(index)]
-        return next(self._records(slice(row, row + 1)))
-
     def __iter__(self) -> Iterator[FlowRecord]:
-        return self._records(slice(None))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (FlowTable, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
-
-    def _records(self, rows: slice) -> Iterator[FlowRecord]:
-        # Rows exist only where a table is iterated or indexed, so they are
-        # built here with one gather per field and no Python-level call per row.
+        # Rows exist only where a table is iterated, so they are built here
+        # with one gather per field and no Python-level call per row.
         fields = []
         for column in self.columns.values():
             if isinstance(column, TextColumn):
-                values = np.array(column.vocabulary, dtype=object)[column.codes[rows]]
-            else:
-                values = column[rows]
-            fields.append(values.tolist())
-        fields.append(np.array(_CLASSES, dtype=object)[self.labels[rows]].tolist())
+                column = np.array(column.vocabulary, dtype=object)[column.codes]
+            fields.append(column.tolist())
+        fields.append(np.array(_CLASSES, dtype=object)[self.labels].tolist())
         return map(tuple.__new__, itertools.repeat(FlowRecord), zip(*fields))
 
 
@@ -329,7 +304,7 @@ def _parse_stream(stream) -> FlowTable:
     width = len(names) + offset
     builders = [
         _IntegerColumn(parse) if isinstance(parse, IntegerCell) else _Vocabulary(parse)
-        for _, _, parse in COLUMNS
+        for _, parse in COLUMNS
     ]
     first_row = 1
     for chunk in _chunks(reader):
@@ -392,7 +367,7 @@ def _raise_first_row_error(chunk, first_row, positions, width) -> None:
             continue
         if len(raw) != width:
             raise RowError(row_no, f"expected {width} fields, found {len(raw)}") from None
-        for (column, _, parse), position in zip(COLUMNS, positions):
+        for (column, parse), position in zip(COLUMNS, positions):
             try:
                 parse(raw[position].strip())
             except ValueError as exc:

@@ -11,18 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from flowbench.features import FeatureMatrix
-
-
-@dataclass
-class ConfusionMatrix:
-    """Counts[i, j] = samples of true class i predicted as class j."""
-
-    counts: np.ndarray
-    classes: list[int]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+from flowbench.flow_data import CANONICAL_COLUMNS
 
 
 @dataclass
@@ -41,7 +30,6 @@ class RocCurve:
 
     classes: list[int]
     per_class: list[RocPoints]
-    aucs: list[float]
     macro_auc: float
 
 
@@ -73,8 +61,11 @@ def mse(y, y_hat) -> float:
     return float(np.dot(diff, diff) / y.size)
 
 
-def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
-    """Exact k x k confusion counts for class codes in [0, n_classes)."""
+def confusion(y_true, y_pred, n_classes: int) -> np.ndarray:
+    """Exact k x k int64 confusion counts for class codes in [0, n_classes).
+
+    counts[i, j] is the number of samples of true class i predicted as class j.
+    """
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape:
@@ -84,27 +75,29 @@ def confusion(y_true, y_pred, n_classes: int) -> ConfusionMatrix:
             raise ValueError(f"{name} labels outside [0, {n_classes})")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (y_true, y_pred), 1)
-    return ConfusionMatrix(counts=counts, classes=list(range(n_classes)))
+    return counts
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
-    """Trace over total."""
-    total = cm.total
-    if total == 0:
+def _nonempty(counts: np.ndarray) -> np.ndarray:
+    if not counts.any():
         raise ValueError("empty confusion matrix")
-    return float(np.trace(cm.counts) / total)
+    return counts
 
 
-def balanced_accuracy(cm: ConfusionMatrix) -> float:
+def accuracy(counts: np.ndarray) -> float:
+    """Trace over total of confusion counts."""
+    counts = _nonempty(counts)
+    return float(np.trace(counts) / counts.sum())
+
+
+def balanced_accuracy(counts: np.ndarray) -> float:
     """Unweighted mean of the recalls of the classes present in the true labels."""
-    if cm.total == 0:
-        raise ValueError("empty confusion matrix")
-    support = cm.counts.sum(axis=1)
+    support = _nonempty(counts).sum(axis=1)
     present = support > 0
-    return float((np.diag(cm.counts)[present] / support[present]).mean())
+    return float((np.diag(counts)[present] / support[present]).mean())
 
 
-def f1(cm: ConfusionMatrix, averaging: str = "weighted") -> float:
+def f1(counts: np.ndarray, averaging: str = "weighted") -> float:
     """Averaged harmonic mean of per-class precision and recall.
 
     Per-class F1 is 0 when precision + recall is 0. "macro" averages equally
@@ -113,9 +106,7 @@ def f1(cm: ConfusionMatrix, averaging: str = "weighted") -> float:
     """
     if averaging not in ("macro", "weighted"):
         raise ValueError("averaging must be 'macro' or 'weighted'")
-    if cm.total == 0:
-        raise ValueError("empty confusion matrix")
-    counts = cm.counts.astype(np.float64)
+    counts = _nonempty(counts).astype(np.float64)
     support = counts.sum(axis=1)
     predicted = counts.sum(axis=0)
     diag = np.diag(counts)
@@ -164,13 +155,8 @@ def roc_curves(y_true, scores: np.ndarray) -> RocCurve:
     """One-vs-rest ROC of each class in y_true (score column = class code), plus the macro AUC."""
     classes = [int(c) for c in np.unique(np.asarray(y_true))]
     per_class = [roc_curve(y_true, scores, c) for c in classes]
-    aucs = [entry.auc for entry in per_class]
-    return RocCurve(
-        classes=classes,
-        per_class=per_class,
-        aucs=aucs,
-        macro_auc=float(np.mean(aucs)),
-    )
+    macro_auc = float(np.mean([entry.auc for entry in per_class]))
+    return RocCurve(classes=classes, per_class=per_class, macro_auc=macro_auc)
 
 
 def fit_and_score(
@@ -241,8 +227,7 @@ def correlation_matrix(values, column_names: Sequence[str]) -> CorrelationMatrix
 def pearson_matrix(matrix: FeatureMatrix) -> CorrelationMatrix:
     """Correlation over the encoded feature columns plus the label column."""
     data = np.column_stack([matrix.encoded, matrix.labels.astype(np.float64)])
-    names = list(matrix.column_names) + ["Prediction"]
-    return correlation_matrix(data, names)
+    return correlation_matrix(data, CANONICAL_COLUMNS)
 
 
 def correlation_to_csv(corr: CorrelationMatrix) -> str:

@@ -91,41 +91,39 @@ def generate_records(n: int, seed: int, signal_strength: float = 1.0) -> FlowTab
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 3, size=n)
 
+    def mixed(draw, shared, per_class):
+        # Each row takes the draw of `shared`, or, with probability
+        # signal_strength, the draw of its class's entry in `per_class`.
+        out = draw(shared)
+        gate = rng.random(n) < signal_strength
+        for cls, spec in per_class.items():
+            drawn = draw(spec)
+            mask = gate & (labels == cls)
+            out[mask] = drawn[mask]
+        return out
+
     # Values are drawn from object arrays so that text columns hold plain
     # str, as parsed ones do; a numpy string array would give np.str_ values.
-    def mixed_choice(values, shared_p, class_p):
-        values = np.array(values, dtype=object)
-        out = rng.choice(values, size=n, p=shared_p)
-        gate = rng.random(n) < signal_strength
-        for cls, p in class_p.items():
-            draw = rng.choice(values, size=n, p=p)
-            mask = gate & (labels == cls)
-            out[mask] = draw[mask]
-        return out
+    def pick(values, p=None):
+        return rng.choice(np.array(values, dtype=object), size=n, p=p)
 
-    def mixed_integers(ranges):
-        (lo, hi), class_ranges = ranges
-        out = rng.integers(lo, hi + 1, size=n)
-        gate = rng.random(n) < signal_strength
-        for cls, (clo, chi) in class_ranges.items():
-            draw = rng.integers(clo, chi + 1, size=n)
-            mask = gate & (labels == cls)
-            out[mask] = draw[mask]
-        return out
+    def between(bounds):
+        low, high = bounds
+        return rng.integers(low, high + 1, size=n)
 
     times = rng.integers(1, 101, size=n)
-    protocols = mixed_choice(_PROTOCOLS, _PROTOCOL_SHARED, _PROTOCOL_CLASS)
-    flags = mixed_choice(_FLAGS, _FLAG_SHARED, _FLAG_CLASS)
-    families = _mixed_families(rng, labels, n, signal_strength)
-    clusters = mixed_integers(_CLUSTER_RANGES)
-    seed_addresses = rng.choice(np.array(_SEED_ADDRESSES, dtype=object), size=n)
-    exp_addresses = rng.choice(np.array(_EXP_ADDRESSES, dtype=object), size=n)
-    btc = mixed_integers(_BTC_RANGES)
-    usd = mixed_integers(_USD_RANGES)
-    netflow = mixed_integers(_NETFLOW_RANGES)
-    ip_classes = mixed_choice(_IP_CLASSES, _IP_SHARED, _IP_CLASS)
-    threats = mixed_choice(_THREATS, _THREAT_SHARED, _THREAT_CLASS)
-    ports = mixed_choice(_PORTS, _PORT_SHARED, _PORT_CLASS).astype(np.int64)
+    protocols = mixed(lambda p: pick(_PROTOCOLS, p), _PROTOCOL_SHARED, _PROTOCOL_CLASS)
+    flags = mixed(lambda p: pick(_FLAGS, p), _FLAG_SHARED, _FLAG_CLASS)
+    families = mixed(pick, _ALL_FAMILIES, _FAMILY_POOLS)
+    clusters = mixed(between, *_CLUSTER_RANGES)
+    seed_addresses = pick(_SEED_ADDRESSES)
+    exp_addresses = pick(_EXP_ADDRESSES)
+    btc = mixed(between, *_BTC_RANGES)
+    usd = mixed(between, *_USD_RANGES)
+    netflow = mixed(between, *_NETFLOW_RANGES)
+    ip_classes = mixed(lambda p: pick(_IP_CLASSES, p), _IP_SHARED, _IP_CLASS)
+    threats = mixed(lambda p: pick(_THREATS, p), _THREAT_SHARED, _THREAT_CLASS)
+    ports = mixed(lambda p: pick(_PORTS, p), _PORT_SHARED, _PORT_CLASS).astype(np.int64)
 
     columns = (times, protocols, flags, families, clusters, seed_addresses,
                exp_addresses, btc, usd, netflow, ip_classes, threats, ports)
@@ -136,13 +134,3 @@ def generate_records(n: int, seed: int, signal_strength: float = 1.0) -> FlowTab
         },
         labels,
     )
-
-
-def _mixed_families(rng, labels, n, signal_strength):
-    out = rng.choice(np.array(_ALL_FAMILIES, dtype=object), size=n)
-    gate = rng.random(n) < signal_strength
-    for cls, pool in _FAMILY_POOLS.items():
-        draw = rng.choice(np.array(pool, dtype=object), size=n)
-        mask = gate & (labels == cls)
-        out[mask] = draw[mask]
-    return out

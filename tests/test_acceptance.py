@@ -167,8 +167,7 @@ def test_criterion_6_hand_derivable_formula_values():
     rows = np.zeros((9, 2))
     labels = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0], dtype=np.int64)
     matrix = FeatureMatrix(
-        rows=rows, labels=labels, column_names=["a", "b"],
-        encoders={}, scaler=None, encoded=rows,
+        rows=rows, labels=labels, encoders={}, scaler=None, encoded=rows,
     )
     fold_errors = iter([0.1, 0.2, 0.3])
     cv = cv_evaluate(
@@ -322,8 +321,7 @@ def test_criterion_12_persistence_fidelity(tmp_path):
         rows = matrix.rows_for(model)
         model.fit(rows, matrix.labels)
         path = tmp_path / f"{name}.json"
-        save_model(path, model, encoders=matrix.encoders, scaler=matrix.scaler,
-                   column_names=matrix.column_names)
+        save_model(path, model, encoders=matrix.encoders, scaler=matrix.scaler)
         restored = load_model(path).model
         from flowbench.features import encode_records
 

@@ -318,6 +318,41 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
     )
 
 
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("dummy", lambda doc: doc["state"].update(classes=[0, 1, 7]),
+         "classes must be a strictly increasing"),
+        ("dummy", lambda doc: doc["state"].update(classes=[2, 1, 0]),
+         "classes must be a strictly increasing"),
+        ("knn", lambda doc: doc["scaler"].update(mean=[0.0] * 3),
+         "the scaler must hold 13 finite means"),
+        ("knn", lambda doc: doc["scaler"].update(std=[-1.0] * 13), "non-negative stds"),
+        ("decision_tree", lambda doc: doc["state"].update(trees=[]),
+         "expected 1 trees, found 0"),
+        ("knn", lambda doc: doc["state"]["train_codes"].__setitem__(0, 9),
+         "train_codes must lie in 0..2"),
+    ],
+    ids=["unknown-class", "decreasing-classes", "short-scaler", "negative-std",
+         "no-trees", "knn-code-beyond-classes"],
+)
+def test_model_file_with_inconsistent_state_is_model_error(
+    name, edit, message, synth_csv, tmp_path, capsys
+):
+    model_file = tmp_path / "model.json"
+    assert main(["train", "--data", str(synth_csv), "--model", name,
+                 "--output", str(model_file)]) == EXIT_OK
+    document = json.loads(model_file.read_text())
+    edit(document)
+    model_file.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["predict", "--data", str(synth_csv),
+                 "--model-file", str(model_file)]) == EXIT_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("model error: malformed model document: ")
+    assert message in err and err.count("\n") == 1
+
+
 def test_synth_validates_arguments(tmp_path):
     assert main(["synth", "--rows", "0"]) == EXIT_USAGE
     assert main(["synth", "--rows", "5", "--signal-strength", "2.0"]) == EXIT_USAGE

@@ -43,7 +43,7 @@ def test_categorical_codes_are_lexicographic():
         {"Protocol": "UDP"}, {"Protocol": "TCP"}, {"Protocol": "TCP"}
     )
     matrix = fit_transform(records)
-    column = matrix.column_names.index("Protocol")
+    column = FEATURE_COLUMNS.index("Protocol")
     assert matrix.rows[:, column].tolist() == [1.0, 0.0, 0.0]
     assert matrix.encoders["Protocol"] == {"TCP": 0, "UDP": 1}
 
@@ -65,7 +65,7 @@ def test_unseen_category_maps_to_reserved_code():
     matrix = fit_transform(train)
     new = _rows({"Family": "Zed"})
     rows = transform(matrix, new)
-    column = matrix.column_names.index("Family")
+    column = FEATURE_COLUMNS.index("Family")
     assert rows[0, column] == UNSEEN_CODE
 
 

@@ -41,7 +41,6 @@ def _plain_matrix(rows, labels):
     return FeatureMatrix(
         rows=rows,
         labels=labels,
-        column_names=[f"c{i}" for i in range(rows.shape[1])],
         encoders={},
         scaler=None,
         encoded=rows,
@@ -77,12 +76,13 @@ def test_mse_length_mismatch():
 
 def test_confusion_perfect_predictions_are_diagonal():
     cm = confusion([0, 1, 2, 1], [0, 1, 2, 1], 3)
-    assert np.array_equal(cm.counts, np.diag([1, 2, 1]))
+    assert cm.dtype == np.int64
+    assert np.array_equal(cm, np.diag([1, 2, 1]))
 
 
 def test_confusion_hand_case():
     cm = confusion([0, 0, 1], [0, 1, 1], 2)
-    assert cm.counts.tolist() == [[1, 1], [0, 1]]
+    assert cm.tolist() == [[1, 1], [0, 1]]
     assert accuracy(cm) == pytest.approx(2 / 3, abs=1e-12)
     assert balanced_accuracy(cm) == pytest.approx(3 / 4, abs=1e-12)
     assert f1(cm, "macro") == pytest.approx(2 / 3, abs=1e-12)
@@ -233,7 +233,8 @@ def test_roc_curves_macro_is_mean_of_per_class(rng):
         y = rng.integers(0, 3, size=60)
     scores = rng.normal(size=(60, 3))
     curve = roc_curves(y, scores)
-    assert curve.macro_auc == pytest.approx(float(np.mean(curve.aucs)), abs=1e-15)
+    aucs = [points.auc for points in curve.per_class]
+    assert curve.macro_auc == pytest.approx(float(np.mean(aucs)), abs=1e-15)
     text = roc_to_csv(curve, ["A", "S", "SS"])
     assert text.splitlines()[0] == "class,auc,threshold,fpr,tpr"
     assert text.count("\nA,") >= 1

@@ -10,7 +10,7 @@ from flowbench.classifiers import (
     make_model,
     save_model,
 )
-from flowbench.features import CATEGORICAL_COLUMNS, fit_transform, transform
+from flowbench.features import CATEGORICAL_COLUMNS, FEATURE_COLUMNS, fit_transform, transform
 from flowbench.synth import generate_records
 
 # A loadable file maps every text column to codes; the hand-built files below
@@ -33,17 +33,11 @@ def test_round_trip_reproduces_predictions_exactly(name, trained_setup, tmp_path
     rows = matrix.rows_for(model)
     model.fit(rows, matrix.labels)
     path = tmp_path / f"{name}.json"
-    save_model(
-        path,
-        model,
-        encoders=matrix.encoders,
-        scaler=matrix.scaler,
-        column_names=matrix.column_names,
-    )
+    save_model(path, model, encoders=matrix.encoders, scaler=matrix.scaler)
+    assert json.loads(path.read_text())["column_names"] == FEATURE_COLUMNS
     artifact = load_model(path)
     assert artifact.model.name == name
     assert artifact.model.hyperparameters == model.hyperparameters
-    assert artifact.column_names == matrix.column_names
     assert artifact.encoders == matrix.encoders
 
     probe_rows = transform(matrix, probe)
@@ -83,13 +77,7 @@ def test_scaler_round_trips(trained_setup, tmp_path):
     model = make_model("ridge", seed=0)
     model.fit(matrix.rows, matrix.labels)
     path = tmp_path / "ridge.json"
-    save_model(
-        path,
-        model,
-        encoders=matrix.encoders,
-        scaler=matrix.scaler,
-        column_names=matrix.column_names,
-    )
+    save_model(path, model, encoders=matrix.encoders, scaler=matrix.scaler)
     artifact = load_model(path)
     np.testing.assert_array_equal(artifact.scaler.mean, matrix.scaler.mean)
     np.testing.assert_array_equal(artifact.scaler.std, matrix.scaler.std)
@@ -132,8 +120,7 @@ def test_model_file_with_stored_feature_masks_still_loads(tmp_path):
         [[1.0, 0.0], [0.5, 0.5]],
     )
     resaved = tmp_path / "new.json"
-    save_model(resaved, artifact.model, encoders={}, scaler=None,
-               column_names=["a", "b"])
+    save_model(resaved, artifact.model, encoders={}, scaler=None)
     assert "feature_masks" not in json.loads(resaved.read_text())["state"]
 
 
@@ -162,7 +149,7 @@ def test_single_tree_file_with_one_stored_tree_still_loads(name, tmp_path):
     assert model.hyperparameters == hyperparameters
     np.testing.assert_array_equal(model.predict([[0.2], [0.9]]), [0, 2])
     resaved = tmp_path / "new.json"
-    save_model(resaved, model, encoders={}, scaler=None, column_names=["a"])
+    save_model(resaved, model, encoders={}, scaler=None)
     state = json.loads(resaved.read_text())["state"]
     assert "tree" not in state
     assert state["trees"] == [document["state"]["tree"]]
@@ -192,5 +179,5 @@ def test_knn_model_file_with_stored_k_still_loads(tmp_path):
     assert model.train_codes_.dtype == np.int64
     np.testing.assert_array_equal(model.predict([[0.2], [0.9]]), [0, 2])
     resaved = tmp_path / "new.json"
-    save_model(resaved, model, encoders={}, scaler=None, column_names=["a"])
+    save_model(resaved, model, encoders={}, scaler=None)
     assert "k" not in json.loads(resaved.read_text())["state"]

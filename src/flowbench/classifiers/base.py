@@ -29,9 +29,12 @@ class Classifier:
 
     name: str = ""
     needs_scaling: bool = False
-    # Fitted array attributes; the default _state/_load_state save each one
-    # under its name without the trailing underscore.
-    _fitted: tuple[str, ...] = ()
+    # Fitted array attributes and their shapes, by dimension name: k is
+    # len(classes), d is n_features, and any other name (knn's m training
+    # rows) is a size that every array naming it must share. The default
+    # _state/_load_state save each array under its name without the trailing
+    # underscore, and _load_state checks the shapes.
+    _fitted: dict[str, tuple[str, ...]] = {}
 
     def __init__(self):
         self.classes_: np.ndarray | None = None
@@ -101,8 +104,20 @@ class Classifier:
         return {a.removesuffix("_"): getattr(self, a).tolist() for a in self._fitted}
 
     def _load_state(self, state: dict) -> None:
-        for attr in self._fitted:
-            values = np.asarray(state[attr.removesuffix("_")])
+        sizes = {"k": self.classes_.size, "d": self.n_features_}
+        for attr, shape in self._fitted.items():
+            name = attr.removesuffix("_")
+            values = np.asarray(state[name])
+            if values.ndim == len(shape):
+                for dim, n in zip(shape, values.shape):
+                    sizes.setdefault(dim, n)
+            # A dimension still unbound stays a name, which no shape equals.
+            expected = tuple(sizes.get(dim, dim) for dim in shape)
+            if values.shape != expected:
+                raise ValueError(
+                    f"{name} must have shape ({', '.join(shape)}) = {_shape_text(expected)},"
+                    f" found {_shape_text(values.shape)}"
+                )
             # JSON keeps ints and floats apart; every fit yields int64 or float64.
             dtype = np.int64 if values.dtype.kind == "i" else np.float64
             setattr(self, attr, values.astype(dtype, copy=False))
@@ -124,3 +139,7 @@ class Classifier:
         if not np.isfinite(X).all():
             raise ValueError("non-finite feature values")
         return X
+
+
+def _shape_text(sizes) -> str:
+    return f"({', '.join(map(str, sizes))})"

@@ -18,7 +18,11 @@ class GaussianNBModel(Classifier):
 
     name = "gaussian_nb"
     needs_scaling = True
-    _fitted = ("means_", "variances_", "log_priors_")
+    _fitted = {
+        "means_": ("k", "d"),
+        "variances_": ("k", "d"),
+        "log_priors_": ("k",),
+    }
 
     def __init__(self, var_smoothing: float = 1e-9):
         super().__init__()
@@ -49,13 +53,23 @@ class GaussianNBModel(Classifier):
             log_posterior[:, c] = self.log_priors_[c] + loglik
         return _softmax_rows(log_posterior)
 
+    def _load_state(self, state):
+        super()._load_state(state)
+        # A fit floors every variance above zero; scoring takes their logs.
+        if not (np.isfinite(self.variances_).all() and (self.variances_ > 0).all()):
+            raise ValueError("variances must be finite and positive")
+
 
 class BernoulliNBModel(Classifier):
     """Features binarized at zero; Laplace-smoothed per-class activation rates."""
 
     name = "bernoulli_nb"
     needs_scaling = True
-    _fitted = ("log_rates_", "log_complements_", "log_priors_")
+    _fitted = {
+        "log_rates_": ("k", "d"),
+        "log_complements_": ("k", "d"),
+        "log_priors_": ("k",),
+    }
 
     def __init__(self, alpha: float = 1.0):
         super().__init__()

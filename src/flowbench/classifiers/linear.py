@@ -73,7 +73,7 @@ class _LinearModel(Classifier):
     """One weight row and one bias per class; scores are X @ W.T + b."""
 
     needs_scaling = True
-    _fitted = ("weights_", "bias_")
+    _fitted = {"weights_": ("k", "d"), "bias_": ("k",)}
 
     def _scores(self, X):
         return X @ self.weights_.T + self.bias_

@@ -20,7 +20,7 @@ class KNNModel(Classifier):
 
     name = "knn"
     needs_scaling = True
-    _fitted = ("train_rows_", "train_codes_")
+    _fitted = {"train_rows_": ("m", "d"), "train_codes_": ("m",)}
 
     def __init__(self, k: int = 5):
         super().__init__()
@@ -76,7 +76,7 @@ class NearestCentroidModel(Classifier):
 
     name = "nearest_centroid"
     needs_scaling = True
-    _fitted = ("centroids_",)
+    _fitted = {"centroids_": ("k", "d")}
 
     def _fit(self, X, codes):
         self.centroids_ = np.stack(

@@ -18,10 +18,18 @@ column's bounds; every other column is coded by vocabulary.
 build it, and the encoder and `summarize` read it by column. Rows exist as
 FlowRecords only where a table is iterated.
 
-`parse_dataset` reads CHUNK_ROWS rows at a time and parses each chunk column
-by column into a `FlowTable`; every value comes from these columns. A chunk
-that fails any check is walked row by row with the cell parsers only to
-name its first bad row, so the error it reports is that of the cell parsers.
+`parse_dataset` reads CHUNK_ROWS lines at a time and parses each chunk column
+by column into a `FlowTable`; every value comes from these columns. A block
+of lines that csv.reader would split at its commas (no quote, NUL or stray
+carriage return, and the header's field count on every non-blank line) is
+split whole with `str.split`; from the first other block on, csv.reader
+reads the rest of the file. A chunk that fails any check is walked row by
+row with the cell parsers only to name its first bad row, so the error it
+reports is that of the cell parsers.
+
+`records_to_csv` writes a table column by column: each distinct value is
+formatted once, the csv module's way, and the rows are joined from the
+formatted columns.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -189,8 +197,8 @@ COLUMNS = (
 )
 CANONICAL_COLUMNS = [header for header, _ in COLUMNS]
 
-# Data rows parsed per chunk: enough to amortize the per-column calls, few
-# enough that a chunk's cells take a few MB.
+# Data rows parsed, or written, per chunk: enough to amortize the per-column
+# calls, few enough that a chunk's cells take a few MB.
 CHUNK_ROWS = 4096
 
 
@@ -203,13 +211,6 @@ class TextColumn(NamedTuple):
 
     vocabulary: tuple
     codes: np.ndarray  # int32
-
-    @classmethod
-    def of(cls, values: Sequence) -> "TextColumn":
-        vocabulary = tuple(dict.fromkeys(values))
-        index = {value: code for code, value in enumerate(vocabulary)}
-        codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
-        return cls(vocabulary, codes)
 
 
 class FlowTable:
@@ -307,35 +308,88 @@ def _parse_stream(stream) -> FlowTable:
         for _, parse in COLUMNS
     ]
     first_row = 1
-    for chunk in _chunks(reader):
-        rows = list(filter(None, chunk))
-        if rows:
+    blocks = _chunks(stream)
+    for block in blocks:
+        flat = _split_block(block, width)
+        if flat is None:
+            # A quoted cell can run on into the next block, so csv.reader
+            # reads the rest of the file, from this block's first line.
+            lines = itertools.chain.from_iterable(itertools.chain([block], blocks))
+            _parse_rows(builders, csv.reader(lines), first_row, positions, width)
+            break
+        if flat:
             try:
-                parsed = _parse_columns(builders, rows, positions, width)
+                _append_columns(builders, [flat[p::width] for p in positions])
             except (ValueError, OverflowError):
-                _raise_first_row_error(chunk, first_row, positions, width)
+                _raise_first_row_error(_comma_rows(block), first_row, positions, width)
                 raise
-            for builder, values in zip(builders, parsed):
-                builder.parts.append(values)
-        first_row += len(chunk)
+        first_row += len(block)
     *features, labels = builders
     columns = {header: b.column() for header, b in zip(CANONICAL_COLUMNS, features)}
     classes, codes = labels.column()
     return FlowTable(columns, np.array(classes, dtype=np.int64)[codes])
 
 
-def _chunks(reader) -> Iterator[list]:
-    """The reader's rows, CHUNK_ROWS at a time.
+def _split_block(block: list[str], width: int) -> list[str] | None:
+    """The block's cells, row after row, when csv.reader would split each line at its commas.
+
+    That holds when the block has no quote, no NUL, no carriage return but in
+    a CRLF line end, no line longer than the csv field limit, and width - 1
+    commas on every non-blank line. Blank lines hold no cells. Any other
+    block gives None.
+    """
+    text = "".join(block)
+    if not text or '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if max(map(len, block)) > csv.field_size_limit():
+        return None
+    if set(map(str.count, block, itertools.repeat(","))) != {width - 1}:
+        lines = list(filter(None, text.split("\n")))
+        if any(line.count(",") != width - 1 for line in lines):
+            return None
+        text = "\n".join(lines)
+        if not text:
+            return []
+    return text.removesuffix("\n").replace("\n", ",").split(",")
+
+
+def _comma_rows(block: list[str]) -> list[list[str]]:
+    """The rows csv.reader reads from a block that _split_block splits."""
+    lines = (line.rstrip("\r\n") for line in block)
+    return [line.split(",") if line else [] for line in lines]
+
+
+def _parse_rows(builders, reader, first_row, positions, width) -> None:
+    """Parse csv.reader's rows, CHUNK_ROWS at a time, the first being row `first_row`."""
+    for chunk in _chunks(reader, first_row - 1):
+        rows = list(filter(None, chunk))
+        if rows:
+            try:
+                if set(map(len, rows)) != {width}:
+                    raise ValueError("a row has the wrong field count")
+                cells = list(zip(*rows))
+                _append_columns(builders, [cells[p] for p in positions])
+            except (ValueError, OverflowError):
+                _raise_first_row_error(chunk, first_row, positions, width)
+                raise
+        first_row += len(chunk)
+
+
+def _chunks(items, rows_read: int = 0) -> Iterator[list]:
+    """A stream's lines or csv.reader's rows, CHUNK_ROWS at a time, after `rows_read` rows.
 
     When reading fails (a line the csv module rejects, or undecodable bytes),
-    the rows read before it form a last chunk, so an error in them is still
+    the items read before it form a last chunk, so an error in them is still
     reported first. A rejected line then raises a RowError naming its row.
     """
-    rows_read = 0
     while True:
         chunk = []
         try:
-            chunk.extend(itertools.islice(reader, CHUNK_ROWS))
+            chunk.extend(itertools.islice(items, CHUNK_ROWS))
         except csv.Error as exc:
             yield chunk
             raise RowError(rows_read + len(chunk) + 1, str(exc)) from None
@@ -348,12 +402,14 @@ def _chunks(reader) -> Iterator[list]:
         yield chunk
 
 
-def _parse_columns(builders, rows, positions, width) -> list:
-    """A chunk's columns parsed whole; raises ValueError when any row or cell fails a check."""
-    if set(map(len, rows)) != {width}:
-        raise ValueError("a row has the wrong field count")
-    cells = list(zip(*rows))
-    return [builder.parse_cells(cells[p]) for builder, p in zip(builders, positions)]
+def _append_columns(builders, columns) -> None:
+    """Parse each canonical column's cells whole and append the values to its builder.
+
+    Raises ValueError (or OverflowError) when any row or cell fails a check.
+    """
+    parsed = [builder.parse_cells(cells) for builder, cells in zip(builders, columns)]
+    for builder, values in zip(builders, parsed):
+        builder.parts.append(values)
 
 
 def _raise_first_row_error(chunk, first_row, positions, width) -> None:
@@ -424,13 +480,48 @@ class _Vocabulary:
         return TextColumn(tuple(self._codes), codes)
 
 
-def records_to_csv(records: Iterable[FlowRecord]) -> str:
-    """Serialize records to canonical-header CSV text; round-trips parse_dataset."""
+def records_to_csv(table: FlowTable) -> str:
+    """Serialize a table to canonical-header CSV text; round-trips parse_dataset.
+
+    The text is what csv.writer writes row by row: each distinct value is
+    formatted once, as csv.writer writes it among other cells of a row, and
+    the rows are joined from the formatted columns CHUNK_ROWS at a time, so
+    only one chunk's cells are held as Python lists at once.
+    """
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(CANONICAL_COLUMNS)
+    columns = []  # per column: its formatted values, and each row's index into them
+    for header in CANONICAL_COLUMNS[:-1]:
+        column = table.columns[header]
+        if isinstance(column, TextColumn):
+            formatted, codes = _csv_cells(column.vocabulary), column.codes
+        else:
+            values, codes = np.unique(column, return_inverse=True)
+            formatted = list(map(str, values.tolist()))
+        columns.append((np.array(formatted, dtype=object), codes))
+    tokens = _csv_cells(cls.token for cls in ThreatClass)
+    columns.append((np.array(tokens, dtype=object), table.labels))
+    lines = [buffer.getvalue().removesuffix("\n")]
+    for start in range(0, len(table), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        cells = [pool.take(codes[rows]).tolist() for pool, codes in columns]
+        lines.append("\n".join(map(",".join, zip(*cells))))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _csv_cells(values: Iterable[str]) -> list[str]:
+    """Each value as csv.writer writes it among other cells of a row, quoted as needed."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CANONICAL_COLUMNS)
-    writer.writerows((*r[:-1], r[-1].token) for r in records)
-    return buffer.getvalue()
+    cells = []
+    for value in values:
+        writer.writerow((value, ""))
+        # The row is the cell, a comma, an empty cell and the line end.
+        cells.append(buffer.getvalue()[:-2])
+        buffer.seek(0)
+        buffer.truncate()
+    return cells
 
 
 def summarize(table: FlowTable) -> DatasetSummary:

@@ -6,7 +6,8 @@ and from a shared class-agnostic distribution otherwise, so strength 0 makes
 features independent of labels while strength 1 gives nearly disjoint
 class-conditional ranges (BTC/USD/netflow tiers, protocol and threat mixes).
 Each column is drawn as one array, and the arrays form the FlowTable that
-`generate_records` returns, so no per-row record is built.
+`generate_records` returns, so no per-row record is built. Text columns are
+drawn as indices into their value lists and become codes directly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ _FAMILY_POOLS = {
     2: ["APT", "CryptoLocker2015", "DMALockerv3", "SamSam", "WannaCry"],
 }
 _ALL_FAMILIES = sorted(f for pool in _FAMILY_POOLS.values() for f in pool)
+# Each class's pool as indices into _ALL_FAMILIES.
+_FAMILY_INDICES = {
+    cls: [_ALL_FAMILIES.index(family) for family in pool] for cls, pool in _FAMILY_POOLS.items()
+}
 
 _PROTOCOLS = ["TCP", "UDP", "ICMP"]
 _PROTOCOL_SHARED = [0.5, 0.4, 0.1]
@@ -102,10 +107,12 @@ def generate_records(n: int, seed: int, signal_strength: float = 1.0) -> FlowTab
             out[mask] = drawn[mask]
         return out
 
-    # Values are drawn from object arrays so that text columns hold plain
-    # str, as parsed ones do; a numpy string array would give np.str_ values.
+    # rng.choice draws the same indices from len(values) as from values itself.
     def pick(values, p=None):
-        return rng.choice(np.array(values, dtype=object), size=n, p=p)
+        return rng.choice(len(values), size=n, p=p)
+
+    def pick_family(indices):
+        return np.take(indices, pick(indices))
 
     def between(bounds):
         low, high = bounds
@@ -114,7 +121,7 @@ def generate_records(n: int, seed: int, signal_strength: float = 1.0) -> FlowTab
     times = rng.integers(1, 101, size=n)
     protocols = mixed(lambda p: pick(_PROTOCOLS, p), _PROTOCOL_SHARED, _PROTOCOL_CLASS)
     flags = mixed(lambda p: pick(_FLAGS, p), _FLAG_SHARED, _FLAG_CLASS)
-    families = mixed(pick, _ALL_FAMILIES, _FAMILY_POOLS)
+    families = mixed(pick_family, range(len(_ALL_FAMILIES)), _FAMILY_INDICES)
     clusters = mixed(between, *_CLUSTER_RANGES)
     seed_addresses = pick(_SEED_ADDRESSES)
     exp_addresses = pick(_EXP_ADDRESSES)
@@ -123,14 +130,33 @@ def generate_records(n: int, seed: int, signal_strength: float = 1.0) -> FlowTab
     netflow = mixed(between, *_NETFLOW_RANGES)
     ip_classes = mixed(lambda p: pick(_IP_CLASSES, p), _IP_SHARED, _IP_CLASS)
     threats = mixed(lambda p: pick(_THREATS, p), _THREAT_SHARED, _THREAT_CLASS)
-    ports = mixed(lambda p: pick(_PORTS, p), _PORT_SHARED, _PORT_CLASS).astype(np.int64)
+    ports = mixed(lambda p: pick(_PORTS, p), _PORT_SHARED, _PORT_CLASS)
 
-    columns = (times, protocols, flags, families, clusters, seed_addresses,
-               exp_addresses, btc, usd, netflow, ip_classes, threats, ports)
-    return FlowTable(
-        {
-            header: TextColumn.of(column) if column.dtype == object else column
-            for header, column in zip(CANONICAL_COLUMNS, columns)
-        },
-        labels,
+    columns = (
+        times,
+        _text_column(protocols, _PROTOCOLS),
+        _text_column(flags, _FLAGS),
+        _text_column(families, _ALL_FAMILIES),
+        clusters,
+        _text_column(seed_addresses, _SEED_ADDRESSES),
+        _text_column(exp_addresses, _EXP_ADDRESSES),
+        btc,
+        usd,
+        netflow,
+        _text_column(ip_classes, _IP_CLASSES),
+        _text_column(threats, _THREATS),
+        np.array(_PORTS, dtype=np.int64)[ports],
     )
+    return FlowTable(dict(zip(CANONICAL_COLUMNS, columns)), labels)
+
+
+def _text_column(indices: np.ndarray, values: list) -> TextColumn:
+    """The text column whose row i holds values[indices[i]].
+
+    Its vocabulary is in order of first appearance, as the parser's is.
+    """
+    present, first = np.unique(indices, return_index=True)
+    order = present[np.argsort(first)]
+    code_of = np.empty(len(values), dtype=np.int32)
+    code_of[order] = np.arange(order.size, dtype=np.int32)
+    return TextColumn(tuple(values[i] for i in order.tolist()), code_of[indices])

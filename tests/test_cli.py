@@ -151,12 +151,12 @@ def test_bench_with_folds_reports_cv(synth_csv, capsys):
 def test_bench_cv_fold_failure_is_an_error_row(tmp_path, capsys):
     # Class counts [2, 2, 4]: knn (k=5) fits the 5-row holdout train split
     # but not the 4-row training side of a 2-fold split.
-    records = generate_records(60, seed=5, signal_strength=0.9)
-    picked = [r for c, n in ((0, 2), (1, 2), (2, 4))
-              for r in [r for r in records if int(r.prediction) == c][:n]]
-    assert [int(r.prediction) for r in picked] == [0, 0, 1, 1, 2, 2, 2, 2]
+    header, *lines = records_to_csv(generate_records(60, seed=5, signal_strength=0.9)).splitlines()
+    picked = [line for token, n in (("A", 2), ("S", 2), ("SS", 4))
+              for line in [line for line in lines if line.endswith("," + token)][:n]]
     path = tmp_path / "tiny.csv"
-    path.write_text(records_to_csv(picked))
+    path.write_text("\n".join([header, *picked, ""]))
+    assert [int(r.prediction) for r in parse_dataset(path)] == [0, 0, 1, 1, 2, 2, 2, 2]
     code = main(["bench", "--data", str(path), "--folds", "2", "--test-fraction",
                  "0.1", "--models", "knn,dummy", "--format", "json"])
     assert code == EXIT_OK
@@ -332,9 +332,21 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
          "expected 1 trees, found 0"),
         ("knn", lambda doc: doc["state"]["train_codes"].__setitem__(0, 9),
          "train_codes must lie in 0..2"),
+        ("gaussian_nb", lambda doc: doc["state"]["variances"][0].__setitem__(0, 0.0),
+         "variances must be finite and positive"),
+        ("gaussian_nb", lambda doc: doc["state"]["variances"][1].__setitem__(2, -1.0),
+         "variances must be finite and positive"),
+        ("ridge", lambda doc: doc["state"].update(weights=doc["state"]["weights"][:1]),
+         "weights must have shape (k, d) = (3, 13), found (1, 13)"),
+        ("nearest_centroid",
+         lambda doc: doc["state"].update(centroids=doc["state"]["centroids"][:2]),
+         "centroids must have shape (k, d) = (3, 13), found (2, 13)"),
+        ("knn", lambda doc: doc["state"].update(train_codes=doc["state"]["train_codes"][:-1]),
+         "train_codes must have shape (m) = "),
     ],
     ids=["unknown-class", "decreasing-classes", "short-scaler", "negative-std",
-         "no-trees", "knn-code-beyond-classes"],
+         "no-trees", "knn-code-beyond-classes", "zero-variance", "negative-variance",
+         "ridge-one-weight-row", "two-centroids-for-three-classes", "short-knn-codes"],
 )
 def test_model_file_with_inconsistent_state_is_model_error(
     name, edit, message, synth_csv, tmp_path, capsys

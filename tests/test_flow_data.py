@@ -307,6 +307,42 @@ def test_csv_round_trip(synth_records):
     assert records_to_csv(parse_dataset(text.encode())) == text
 
 
+def _reference_csv(table) -> str:
+    """The row-by-row csv.writer serialization that records_to_csv replaced, kept as its oracle."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CANONICAL_COLUMNS)
+    writer.writerows((*r[:-1], r[-1].token) for r in table)
+    return buffer.getvalue()
+
+
+def test_csv_writer_matches_row_by_row_csv_writer():
+    parsed = parse_dataset(csv_bytes(
+        _with_cells(Family='"Wanna,Cry"', Threats='"say ""hi"""', Clusters="-5"),
+        _with_cells(Family='"Wanna\nCry"', Flag='"A\r\nF"', USD=str(2**53)),
+        _with_cells(Family='"  padded  "', SeedAddress=" 1DA11mPS ", Prediction="A"),
+        _with_cells(Family="", ExpAddress='""', Prediction="S"),
+        FIGURE_ROW,
+    ))
+    header_only = parse_dataset(csv_bytes())
+    # Parsing strips cells, so spaces and lone carriage returns need a built table.
+    generated = generate_records(60, seed=3, signal_strength=0.5)
+    family = generated.columns["Family"]
+    odd = (" a ", "b,c", 'd"e', "f\ng", "h\r\ni", "", "\r", "j\rk", "\t")
+    vocabulary = tuple(f"{odd[i % len(odd)]}{i or ''}" for i in range(len(family.vocabulary)))
+    built = FlowTable(
+        dict(generated.columns, Family=TextColumn(vocabulary, family.codes)), generated.labels
+    )
+    for table in (parsed, header_only, built):
+        assert records_to_csv(table) == _reference_csv(table)
+    assert records_to_csv(header_only) == HEADER + "\n"
+
+
+def test_csv_writer_follows_the_canonical_column_order(synth_records):
+    reordered = FlowTable(dict(reversed(synth_records.columns.items())), synth_records.labels)
+    assert records_to_csv(reordered) == records_to_csv(synth_records)
+
+
 def test_row_count_matches_data_lines(synth_records):
     text = records_to_csv(synth_records)
     data_lines = text.strip().splitlines()[1:]
@@ -367,13 +403,13 @@ def _file(lines: list[str], newline: str = "\n") -> bytes:
     return newline.join([HEADER, *lines, ""]).encode()
 
 
-def _small_chunk_cases() -> dict[str, list[str]]:
+def _small_chunk_cases() -> dict[str, bytes]:
     good = _synth_lines(3 * SMALL_CHUNK + 2)
     bad_port = _with_cells(Port="70000")
     long_cell = _with_cells(Family="x" * (csv.field_size_limit() + 1))
     # int() refuses this legal literal, so its column takes the cell parser's path.
     padded = "0" * sys.get_int_max_str_digits() + "7"
-    return {
+    cases = {
         "bad cell opening the second chunk": good[:SMALL_CHUNK] + [bad_port] + good,
         "blank lines before it": good[:SMALL_CHUNK - 1] + ["", ""] + [bad_port] + good,
         "wrong field count after a bad cell": (
@@ -410,18 +446,53 @@ def _small_chunk_cases() -> dict[str, list[str]]:
         "unreadable line after a bad cell": good[:2] + [bad_port, long_cell] + good,
         "unreadable line alone": good[:SMALL_CHUNK + 1] + [long_cell] + good,
         "clean": good,
+        # Blocks of SMALL_CHUNK lines that str.split reads, then one that it must not.
+        "quote first in a later block": (
+            good[:2 * SMALL_CHUNK + 1] + [_with_cells(Family='"Wanna Cry"')] + good
+        ),
+        "quoted cell across a block boundary": good[:SMALL_CHUNK - 1] + [
+            _with_cells(Family='"Wanna\n,Cry"')
+        ] + good + [bad_port],
+        "NUL in a later block": good[:SMALL_CHUNK + 2] + [_with_cells(Family="Wanna\0Cry")] + good,
+        "field count changing in a later block": (
+            good[:2 * SMALL_CHUNK] + [",".join([good[0], "extra"])] + good
+        ),
+        "two rows on one line beside a blank line": (
+            good[:SMALL_CHUNK] + ["", ",".join(good[:2])] + good
+        ),
+        "blank lines across a block boundary": (
+            good[:SMALL_CHUNK - 1] + ["", ""] + good[:SMALL_CHUNK] + ["", bad_port] + good
+        ),
+        "line longer than the field limit, fields within it": good[:SMALL_CHUNK] + [
+            _with_cells(Family="x" * (csv.field_size_limit() // 2),
+                        Threats="y" * (csv.field_size_limit() // 2 + 10))
+        ] + good,
     }
+    files = {name: _file(lines) for name, lines in cases.items()}
+    files["all CRLF"] = _file(good + [""] + good, newline="\r\n")
+    files["CRLF from a later block"] = _file(good[:SMALL_CHUNK]) + _file(
+        good[SMALL_CHUNK:] + [bad_port], newline="\r\n"
+    ).split(b"\r\n", 1)[1]
+    # A carriage return alone ends the last line of the file, after LF lines.
+    files["lone CR in an LF file"] = _file(good)[:-1] + b"\r"
+    files["last block without a trailing newline"] = _file(good[:2 * SMALL_CHUNK])[:-1]
+    files["bad last line without a trailing newline"] = (
+        _file(good[:SMALL_CHUNK + 1] + [bad_port])[:-1]
+    )
+    return files
 
 
 @pytest.mark.parametrize("case", list(_small_chunk_cases()))
 def test_chunked_parse_matches_reference_at_chunk_boundaries(case, tmp_path, monkeypatch):
     monkeypatch.setattr(flow_data, "CHUNK_ROWS", SMALL_CHUNK)
-    assert_parses_like_reference(_file(_small_chunk_cases()[case]), tmp_path)
+    assert_parses_like_reference(_small_chunk_cases()[case], tmp_path)
 
 
 def test_chunk_boundary_errors_name_the_row_in_file_order(monkeypatch):
     monkeypatch.setattr(flow_data, "CHUNK_ROWS", SMALL_CHUNK)
     cases = _small_chunk_cases()
+    last = 3 * SMALL_CHUNK + 2
+    port_error = "Port: value 70000 outside 0..65535"
     expected = {
         "bad cell opening the second chunk": "row 5: Port: value 70000 outside 0..65535",
         "blank lines before it": "row 6: Port: value 70000 outside 0..65535",
@@ -433,11 +504,64 @@ def test_chunk_boundary_errors_name_the_row_in_file_order(monkeypatch):
         "unreadable line alone": (
             f"row {SMALL_CHUNK + 2}: field larger than field limit ({csv.field_size_limit()})"
         ),
+        "quoted cell across a block boundary": f"row {last + SMALL_CHUNK + 1}: {port_error}",
+        "field count changing in a later block": (
+            f"row {2 * SMALL_CHUNK + 1}: expected 14 fields, found 15"
+        ),
+        "blank lines across a block boundary": f"row {2 * SMALL_CHUNK + 3}: {port_error}",
+        "two rows on one line beside a blank line": (
+            f"row {SMALL_CHUNK + 2}: expected 14 fields, found 28"
+        ),
+        "CRLF from a later block": f"row {last + 1}: {port_error}",
+        "bad last line without a trailing newline": f"row {SMALL_CHUNK + 2}: {port_error}",
     }
     for case, message in expected.items():
         with pytest.raises(RowError) as info:
-            parse_dataset(_file(cases[case]))
+            parse_dataset(cases[case])
         assert str(info.value) == message
+
+
+def test_clean_blocks_are_split_without_csv_reader(monkeypatch):
+    monkeypatch.setattr(flow_data, "CHUNK_ROWS", SMALL_CHUNK)
+    cases = _small_chunk_cases()
+
+    def no_reader(*args):
+        raise AssertionError("csv.reader read past the header")
+
+    monkeypatch.setattr(flow_data, "_parse_rows", no_reader)
+    for name in ("clean", "blank chunk", "all CRLF", "last block without a trailing newline"):
+        data = cases[name]
+        assert _outcome(parse_dataset, data) == _outcome(_reference_parse, data)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_rows_before_undecodable_bytes_are_checked_first(quoted, tmp_path):
+    # A file is decoded 8 KiB at a time, so the lines before the undecodable
+    # byte are read, and form a partial block, before reading fails.
+    lines = _synth_lines(200)
+    if quoted:
+        lines[0] = _with_cells(Family='"WannaCry"')
+    lines[2] = _with_cells(Port="70000")
+    path = tmp_path / "flows.csv"
+    path.write_bytes(_file(lines) + b"\xff\n")
+    with pytest.raises(RowError, match="row 3: Port"):
+        parse_dataset(path)
+    lines[2] = lines[3]
+    path.write_bytes(_file(lines) + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        parse_dataset(path)
+
+
+def test_lone_carriage_return_mid_file_is_read_as_before(tmp_path):
+    # csv.reader reads a path with newline="", so there a lone CR ends a line,
+    # and it reads bytes by LF lines, so there it is a stray line break.
+    data = _file(_synth_lines(6)[:2] + [_with_cells(Family="Wanna\rCry")] + _synth_lines(6))
+    path = tmp_path / "cr.csv"
+    path.write_bytes(data)
+    assert _outcome(parse_dataset, data) == _outcome(_reference_parse, data)
+    with pytest.raises(RowError) as info:
+        parse_dataset(path)
+    assert str(info.value) == "row 3: expected 14 fields, found 4"
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -467,7 +591,7 @@ def test_chunked_parse_matches_reference_on_export_variants(newline, index, bom,
 
 def test_flow_table_iterates_the_parsed_records(synth_records):
     records = list(synth_records)
-    table = parse_dataset(records_to_csv(records).encode())
+    table = parse_dataset(records_to_csv(synth_records).encode())
     assert isinstance(table, FlowTable)
     assert len(table) == len(records)
     assert list(table) == records

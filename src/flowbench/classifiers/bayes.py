@@ -23,10 +23,7 @@ class GaussianNBModel(Classifier):
         "variances_": ("k", "d"),
         "log_priors_": ("k",),
     }
-
-    def __init__(self, var_smoothing: float = 1e-9):
-        super().__init__()
-        self.var_smoothing = var_smoothing
+    var_smoothing = 1e-9
 
     def _fit(self, X, codes):
         k = self.classes_.size
@@ -70,10 +67,7 @@ class BernoulliNBModel(Classifier):
         "log_complements_": ("k", "d"),
         "log_priors_": ("k",),
     }
-
-    def __init__(self, alpha: float = 1.0):
-        super().__init__()
-        self.alpha = alpha
+    alpha = 1.0
 
     def _fit(self, X, codes):
         k = self.classes_.size

@@ -2,13 +2,14 @@
 
 The SGD family takes per-sample steps. Each epoch visits the rows in a fresh
 `rng.permutation` order; row t, counted across epochs, gets the rate
-lr_t = learning_rate / sqrt(t). Hinge and log loss first decay the weights by
-d_t = 1 - lr_t * l2. A row x with +/-1 target y and score z = W.x + b then
-adds c * x to its class's weights and c to its bias, where c = lr_t * y if
-y*z < 1 (hinge) or y*z <= 0 (perceptron), and c = lr_t * (y - tanh(z/2)) / 2
-for log loss: that is -lr_t * (sigmoid(z) - (y+1)/2), written so it cannot
-overflow. Each epoch ends with the full-pass objective; training stops when it
-improves by less than `tol`.
+lr_t = learning_rate / sqrt(t). Each step first decays the weights by
+d_t = 1 - lr_t * l2, where the perceptron's l2 is 0. A row x with +/-1
+target y and score z = W.x + b then adds c * x to its class's weights and c
+to its bias, where c = lr_t * y if y*z < 1 (hinge) or y*z <= 0
+(perceptron), and c = lr_t * (y - tanh(z/2)) / 2 for log loss: that is
+-lr_t * (sigmoid(z) - (y+1)/2), written so it cannot overflow. Each epoch
+ends with the full-pass objective; training stops when it improves by less
+than `tol`. learning_rate, l2 and tol are class constants.
 
 One kernel takes these steps BLOCK_ROWS rows at a time:
 
@@ -16,10 +17,9 @@ One kernel takes these steps BLOCK_ROWS rows at a time:
   W_j = s_j * (W_0 + sum_{i<j} v_i x_i), where s_j is the product of the
   decays of the earlier rows and v_i = c_i / s_{i+1}, so a decay costs one
   scalar product instead of a pass over W. The scale is folded back into W at
-  the end of every block. A block ends early where |s| would fall below
-  MIN_SCALE, so 1/s stays finite: a decay of exactly 0, as l2 = 100 gives on
-  the first row, ends its block, and the last row's step is folded as c
-  itself, never through 1/s.
+  the end of every block, with the last row's step folded as c itself. With
+  lr_t <= 0.01 and l2 = 1e-4, a block's scale stays above 0.9999, so 1/s is
+  always finite.
 * Block products. One product gives every class's score W_0.x_j at the
   start of the block, a second the block's Gram matrix G_ij = x_i.x_j.
 * Scalar recurrence. Classes are independent, so each class walks the rows
@@ -48,8 +48,6 @@ from flowbench.classifiers.base import Classifier, validated_seed
 # Rows per block of the SGD kernel: two small products per block against a
 # Python recurrence whose cost grows with the block.
 BLOCK_ROWS = 16
-# Smallest |lazy scale| a block may reach before it is cut short.
-MIN_SCALE = 1e-100
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -85,20 +83,13 @@ class _LinearModel(Classifier):
 
 class _SGDBase(_LinearModel):
     _loss: str
+    learning_rate = 0.01
+    l2 = 1e-4
+    tol = 1e-6
 
-    def __init__(
-        self,
-        max_epochs: int = 1000,
-        learning_rate: float = 0.01,
-        l2: float = 1e-4,
-        tol: float = 1e-6,
-        seed: int = 0,
-    ):
+    def __init__(self, max_epochs: int = 1000, seed: int = 0):
         super().__init__()
         self.max_epochs = max_epochs
-        self.learning_rate = learning_rate
-        self.l2 = l2
-        self.tol = tol
         self.seed = validated_seed(seed)
 
     def _fit(self, X, codes):
@@ -124,7 +115,7 @@ class _SGDBase(_LinearModel):
 
     def _sgd_pass(self, W, bias, rows, row_targets, rates):
         """Take one step per row of `rows`, in order; update W and bias in place."""
-        lam = 0.0 if self._loss == "perceptron" else self.l2
+        lam = self.l2
         log = self._loss == "log"
         # y*z <= 0 is y*z below the smallest positive float, so hinge and
         # perceptron share one comparison.
@@ -138,11 +129,9 @@ class _SGDBase(_LinearModel):
             for lr_j in lr:
                 scales.append(scale)
                 scale *= 1.0 - lr_j * lam
-                if not abs(scale) >= MIN_SCALE:  # NaN ends the block too
-                    break
                 inverse.append(1.0 / scale)
             m = len(scales)
-            inverse[m - 1 :] = [1.0]  # the last row's step is folded unscaled
+            inverse[-1] = 1.0  # the last row's step is folded unscaled
             block = rows[start : start + m]
             raw = np.dot(W, block.T).tolist()
             gram = np.dot(block, block.T).tolist()
@@ -209,38 +198,33 @@ class LogisticRegressionModel(_SGDBase):
 class PerceptronModel(_SGDBase):
     """Classic mistake-driven perceptron updates, one binary problem per class.
 
-    `l2` is accepted for the shared SGD signature and ignored: the perceptron
-    has no penalty, so neither its steps nor its objective decay the weights,
-    as scikit-learn's `Perceptron` ignores `alpha` without a penalty.
+    The perceptron has no penalty, as scikit-learn's `Perceptron` has none by
+    default, so neither its steps nor its objective decay the weights.
     """
 
     name = "perceptron"
     _loss = "perceptron"
+    l2 = 0.0
 
 
 class RidgeModel(_LinearModel):
     """Regularized least squares on +/-1 one-vs-rest targets, solved exactly."""
 
     name = "ridge"
-
-    def __init__(self, lam: float = 1.0):
-        super().__init__()
-        if lam < 0:
-            raise ValueError("lam must be non-negative")
-        self.lam = lam
+    lam = 1.0
 
     def _fit(self, X, codes):
         d = X.shape[1]
         targets = self._targets(codes)
         system = X.T @ X + self.lam * np.eye(d)
         rhs = X.T @ targets
+        # X'X + lam*I is positive definite; only float64 overflow or rounding
+        # can leave it without a finite solution.
         try:
             solution = np.linalg.solve(system, rhs)  # (d, k)
+            if not np.isfinite(solution).all():
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            raise ValueError(
-                "normal equations are singular at this lam; use lam > 0"
-            ) from None
-        if not np.isfinite(solution).all():
-            raise ValueError("normal equations are singular at this lam; use lam > 0")
+            raise ValueError("the normal equations have no finite solution in float64") from None
         self.weights_ = solution.T
         self.bias_ = targets.mean(axis=0) - X.mean(axis=0) @ solution

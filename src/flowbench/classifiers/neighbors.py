@@ -20,13 +20,11 @@ class KNNModel(Classifier):
 
     name = "knn"
     needs_scaling = True
+    k = 5
     _fitted = {"train_rows_": ("m", "d"), "train_codes_": ("m",)}
 
-    def __init__(self, k: int = 5):
+    def __init__(self):
         super().__init__()
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        self.k = k
         self._neighbor_basis: np.ndarray | None = None
 
     def _fit(self, X, codes):

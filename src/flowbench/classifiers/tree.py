@@ -87,9 +87,6 @@ def build_tree(
     n_classes: int,
     *,
     splitter: str = "best",
-    max_depth: int | None = None,
-    min_samples_split: int = 2,
-    min_impurity_decrease: float = 0.0,
     max_features: int | None = None,
     rngs: list[np.random.Generator] | None = None,
     bootstrap: bool = False,
@@ -106,9 +103,7 @@ def build_tree(
     random feature subset at every split (requires rngs).
     """
     n, d = X.shape
-    grower = _Grower(
-        X, y, n_classes, splitter, max_depth, min_samples_split, min_impurity_decrease
-    )
+    grower = _Grower(X, y, n_classes, splitter)
     rngs = [None] if rngs is None else list(rngs)
     roots = [TreeNode() for _ in rngs]
     stacks = [[] for _ in rngs]
@@ -118,8 +113,8 @@ def build_tree(
         for rng in rngs
     ]
     counts = np.array([np.bincount(grower.y[rows], minlength=n_classes) for rows in samples])
-    for i in grower.growing(roots, counts, np.zeros(len(rngs), dtype=np.int64)):
-        stacks[i].append((roots[i], samples[i], counts[i], 0))
+    for i in grower.growing(roots, counts):
+        stacks[i].append((roots[i], samples[i], counts[i]))
     subset = max_features is not None and max_features < d
     every_feature = np.arange(d)
     while True:
@@ -170,7 +165,6 @@ class _Pending(NamedTuple):
     node: TreeNode
     rows: np.ndarray  # original row numbers, repeated as the bootstrap drew them
     counts: np.ndarray  # class counts of those rows
-    depth: int
     features: np.ndarray  # candidate features, ascending
     rng: np.random.Generator | None
     stack: list  # the tree's depth-first stack of _Pending fields, for the children
@@ -207,21 +201,18 @@ class _Pairs(NamedTuple):
 
 
 class _Grower:
-    """The rows, stopping rules and batched split search of one fit.
+    """The rows, stopping rule and batched split search of one fit.
 
     Each candidate generator takes a group's pairs and returns parallel
     arrays, ordered by pair and then by threshold: the candidate's pair, its
     threshold, and the class counts of the rows it sends left.
     """
 
-    def __init__(self, X, y, n_classes, splitter, max_depth, min_samples_split, min_decrease):
+    def __init__(self, X, y, n_classes, splitter):
         self.n, d = X.shape
         self.columns = np.ascontiguousarray(X.T)
         self.y = np.asarray(y)
         self.k = n_classes
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_decrease = min_decrease
         self.row_dtype = np.int32 if self.n <= np.iinfo(np.int32).max else np.int64
         self.random = splitter == "random"
         if not self.random:
@@ -249,12 +240,10 @@ class _Grower:
                 unit[classes] = 1 << shifts
                 self.count_words.append((classes, shifts, unit))
 
-    def growing(self, nodes, counts, depths) -> list[int]:
-        """Make each node that the stopping rules end a leaf; return the others' indices."""
+    def growing(self, nodes, counts) -> list[int]:
+        """Make each pure node a leaf; return the others' indices."""
         sizes = counts.sum(axis=1)
-        leaf = (sizes < self.min_samples_split) | (counts.max(axis=1) == sizes)
-        if self.max_depth is not None:
-            leaf |= depths >= self.max_depth
+        leaf = counts.max(axis=1) == sizes
         dists = counts / sizes[:, None]
         for i in leaf.nonzero()[0].tolist():
             nodes[i].dist = dists[i].copy()
@@ -268,7 +257,7 @@ class _Grower:
         else:
             candidates, thresholds, left = self._midpoint_candidates(pairs)
         counts = np.concatenate([pending.counts for pending in group]).reshape(-1, self.k)
-        won, best = _winners(pairs.node[candidates], left, counts, self.min_decrease)
+        won, best = _winners(pairs.node[candidates], left, counts)
         for i in set(range(len(group))).difference(won):
             group[i].node.dist = counts[i] / group[i].rows.size
         if won:
@@ -294,11 +283,10 @@ class _Grower:
         # left child next. A growing child gets its own copy of its rows.
         child_counts = np.concatenate([counts - left, left])
         child_rows = np.concatenate([rows.compress(~go_left), rows.compress(go_left)])
-        depths = np.array([pending.depth + 1 for pending in split] * 2)
         stops = child_counts.sum(axis=1).cumsum().tolist()
-        for j in self.growing(children, child_counts, depths):
+        for j in self.growing(children, child_counts):
             own = child_rows[stops[j - 1] if j else 0 : stops[j]].copy()
-            split[j % len(split)].stack.append((children[j], own, child_counts[j], int(depths[j])))
+            split[j % len(split)].stack.append((children[j], own, child_counts[j]))
 
     def _pairs(self, group: list[_Pending]) -> _Pairs:
         sizes = np.array([pending.rows.size for pending in group])
@@ -386,12 +374,13 @@ def _run_starts(a):
     return np.concatenate(([True], a[1:] != a[:-1])).nonzero()[0]
 
 
-def _winners(nodes, left, counts, min_decrease):
+def _winners(nodes, left, counts):
     """The nodes that split, and the candidate each splits at.
 
     `nodes` gives each candidate's node, ascending, and `left` the class
     counts it sends left. A node's candidate is its first one with the lowest
-    weighted child Gini; the node splits when that candidate is admissible.
+    weighted child Gini; the node splits when that candidate is admissible,
+    that is when its weighted child Gini is at most the node's Gini.
     """
     if nodes.size == 0:
         return [], []
@@ -408,18 +397,12 @@ def _winners(nodes, left, counts, min_decrease):
     first = hits[_run_starts(nodes[hits])]
     ssq_parent = (counts * counts).sum(axis=1).tolist()
     won, best = [], []
-    for i, node, nl, nr, sl, sr, w in zip(
+    for i, node, nl, nr, sl, sr in zip(
         first.tolist(), nodes[first].tolist(), n_left[first].tolist(),
         n_right[first].tolist(), ssq_left[first].tolist(), ssq_right[first].tolist(),
-        weighted[first].tolist(),
     ):
-        n, sp = nl + nr, ssq_parent[node]
-        if min_decrease <= 0.0:
-            # Exact integer form of: weighted child Gini <= parent Gini.
-            admissible = n * (sl * nr + sr * nl) >= sp * nl * nr
-        else:
-            admissible = (n - sp / n) / n - w >= min_decrease
-        if admissible:
+        # Exact integer form of: weighted child Gini <= parent Gini.
+        if (nl + nr) * (sl * nr + sr * nl) >= ssq_parent[node] * nl * nr:
             won.append(node)
             best.append(i)
     return won, best
@@ -430,39 +413,29 @@ class DecisionTreeModel(Classifier):
 
     The base of every tree model. A fit grows `n_trees` trees, tree i with
     rng `default_rng([seed, i])`, each on a bootstrap sample of the rows when
-    `bootstrap` is set and over a fresh `max_features` subset of the features
-    at every split; scores average the trees' leaf distributions. A single
-    tree model grows one tree on all rows and features.
+    `bootstrap` is set and over a fresh subset of ceil(sqrt(d)) of the d
+    features at every split when `max_features` is "sqrt"; scores average the
+    trees' leaf distributions. A single tree model grows one tree on all rows
+    and features. Every tree grows until its leaves are pure or no split
+    lowers its weighted Gini. These settings are class constants: each model
+    runs at fixed defaults.
     """
 
     name = "decision_tree"
     _splitter = "best"
     n_trees = 1
     bootstrap = False
-    max_features: int | str = "all"
+    max_features = "all"  # or "sqrt"
     seed = 0
 
-    def __init__(
-        self,
-        max_depth: int | None = None,
-        min_samples_split: int = 2,
-        min_impurity_decrease: float = 0.0,
-    ):
+    def __init__(self):
         super().__init__()
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_impurity_decrease = min_impurity_decrease
         self.trees_: list[TreeNode] | None = None
 
     def _resolve_max_features(self, d: int) -> int | None:
         if self.max_features == "all":
             return None
-        if self.max_features == "sqrt":
-            return min(d, math.isqrt(d - 1) + 1 if d > 1 else 1)
-        count = int(self.max_features)
-        if count < 1:
-            raise ValueError("max_features must be 'all', 'sqrt', or a positive integer")
-        return min(d, count)
+        return min(d, math.isqrt(d - 1) + 1 if d > 1 else 1)
 
     def _fit(self, X, codes):
         self.trees_ = build_tree(
@@ -470,9 +443,6 @@ class DecisionTreeModel(Classifier):
             codes,
             self.classes_.size,
             splitter=self._splitter,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_impurity_decrease=self.min_impurity_decrease,
             max_features=self._resolve_max_features(X.shape[1]),
             rngs=[np.random.default_rng([self.seed, i]) for i in range(self.n_trees)],
             bootstrap=self.bootstrap,
@@ -490,25 +460,22 @@ class DecisionTreeModel(Classifier):
         return {"trees": [root.to_dict() for root in self.trees_]}
 
     def _load_state(self, state):
-        # Single-tree files written before every tree model stored a list.
-        docs = state["trees"] if "trees" in state else [state["tree"]]
+        docs = state["trees"]
         if len(docs) != self.n_trees:
             raise ValueError(f"expected {self.n_trees} trees, found {len(docs)}")
         self.trees_ = [TreeNode.from_dict(doc) for doc in docs]
 
 
-class ExtraTreeModel(DecisionTreeModel):
+class SeededTreeModel(DecisionTreeModel):
+    """A tree model that draws from its generators; its one parameter is the seed."""
+
+    def __init__(self, seed: int = 0):
+        super().__init__()
+        self.seed = validated_seed(seed)
+
+
+class ExtraTreeModel(SeededTreeModel):
     """Single extremely randomized tree: one uniform threshold per feature."""
 
     name = "extra_tree"
     _splitter = "random"
-
-    def __init__(
-        self,
-        max_depth: int | None = None,
-        min_samples_split: int = 2,
-        min_impurity_decrease: float = 0.0,
-        seed: int = 0,
-    ):
-        super().__init__(max_depth, min_samples_split, min_impurity_decrease)
-        self.seed = validated_seed(seed)

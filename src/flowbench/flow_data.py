@@ -231,7 +231,7 @@ class FlowTable:
         # Rows exist only where a table is iterated, so they are built here
         # with one gather per field and no Python-level call per row.
         fields = []
-        for column in self.columns.values():
+        for column in map(self.columns.__getitem__, CANONICAL_COLUMNS[:-1]):
             if isinstance(column, TextColumn):
                 column = np.array(column.vocabulary, dtype=object)[column.codes]
             fields.append(column.tolist())
@@ -266,17 +266,28 @@ class DatasetSummary:
 def parse_dataset(source) -> FlowTable:
     """Parse a CSV path, bytes, or stream into a FlowTable.
 
-    `source` may be a filesystem path (str or Path), read as a stream, raw
-    CSV bytes, or a file-like object. Raises SchemaError when the header is
-    wrong and RowError, carrying the 1-based data row number (blank lines
-    count), for the first bad row, including a row the csv module cannot read.
+    `source` may be a filesystem path (str or Path), raw CSV bytes, or a
+    binary or text stream. Paths, bytes and binary streams are decoded as
+    UTF-8 as they are read; utf-8-sig drops the byte-order mark that
+    spreadsheet "CSV UTF-8" exports write. A text stream is read whole. Every
+    source leaves line breaks to csv (newline=""), so a lone carriage return
+    ends a line in each. A binary stream stays open. Raises SchemaError when
+    the header is wrong and RowError, carrying the 1-based data row number
+    (blank lines count), for the first bad row, including a row the csv
+    module cannot read.
     """
     if isinstance(source, (str, Path)):
-        # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports
-        # write; newline="" leaves line breaks to csv, as they are in bytes input.
         with open(source, encoding="utf-8-sig", newline="") as stream:
             return _parse_stream(stream)
-    return _parse_stream(_as_text_stream(source))
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)
+    if isinstance(source.read(0), str):
+        return _parse_stream(io.StringIO(source.read(), newline=""))
+    stream = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    try:
+        return _parse_stream(stream)
+    finally:
+        stream.detach()
 
 
 def _parse_stream(stream) -> FlowTable:
@@ -543,12 +554,3 @@ def summarize(table: FlowTable) -> DatasetSummary:
         family_counts=dict(sorted(families, key=lambda kv: (-kv[1], kv[0]))),
         class_counts={cls: classes[cls] for cls in ThreatClass},
     )
-
-
-def _as_text_stream(source) -> io.StringIO:
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8-sig"))
-    data = source.read()
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8-sig")
-    return io.StringIO(data)

@@ -48,17 +48,24 @@ def test_bernoulli_nb_uses_sign_pattern():
     assert np.mean(model.predict(X) == y) >= 0.95
 
 
+def _knn(k):
+    """A KNNModel voting over k neighbors instead of the fixed 5."""
+    model = KNNModel()
+    model.k = k
+    return model
+
+
 def test_knn_k1_memorizes_conflict_free_data(rng):
     X = rng.normal(size=(30, 3))
     y = rng.integers(0, 3, size=30)
-    model = KNNModel(k=1).fit(X, y)
+    model = _knn(1).fit(X, y)
     assert np.array_equal(model.predict(X), y)
 
 
 def test_knn_tie_with_k_equal_n_resolves_to_class_zero():
     X = np.arange(10, dtype=float).reshape(-1, 1)
     y = np.array([0, 1] * 5)
-    model = KNNModel(k=10).fit(X, y)
+    model = _knn(10).fit(X, y)
     predicted = model.predict(np.array([[3.3], [7.7]]))
     assert predicted.tolist() == [0, 0]
 
@@ -67,7 +74,7 @@ def test_knn_tie_with_k_equal_n_resolves_to_class_zero():
 def test_knn_with_k_equal_n_scores_the_class_shares_of_all_rows(n, rng):
     X = rng.normal(size=(n, 3))
     y = rng.integers(0, 3, size=n)
-    model = KNNModel(k=n).fit(X, y)
+    model = _knn(n).fit(X, y)
     shares = np.bincount(np.unique(y, return_inverse=True)[1]) / n
     scores = model.predict_scores(rng.normal(size=(9, 3)))
     assert np.array_equal(scores, np.broadcast_to(shares, scores.shape))
@@ -75,13 +82,13 @@ def test_knn_with_k_equal_n_scores_the_class_shares_of_all_rows(n, rng):
 
 def test_knn_rejects_k_above_training_size():
     with pytest.raises(ValueError, match="exceeds"):
-        KNNModel(k=5).fit(np.zeros((3, 2)), np.array([0, 1, 0]))
+        KNNModel().fit(np.zeros((3, 2)), np.array([0, 1, 0]))
 
 
 def test_knn_vote_fractions_sum_to_one(rng):
     X = rng.normal(size=(40, 4))
     y = rng.integers(0, 3, size=40)
-    model = KNNModel(k=5).fit(X, y)
+    model = KNNModel().fit(X, y)
     scores = model.predict_scores(rng.normal(size=(17, 4)))
     np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
 
@@ -95,7 +102,7 @@ def test_knn_scores_do_not_depend_on_the_block_size(rng, monkeypatch):
     d2 = ((queries[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
     kth = np.sort(d2, axis=1)[:, 4:5]
     assert ((d2 <= kth).sum(axis=1) > 5).mean() > 0.5
-    model = KNNModel(k=5).fit(X, y)
+    model = KNNModel().fit(X, y)
     digests = set()
     for rows in (1, 3, 7, 512):
         monkeypatch.setattr(neighbors, "BLOCK_BYTES", rows * 8 * X.shape[0])

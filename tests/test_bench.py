@@ -180,6 +180,34 @@ def test_render_empty_leaderboard_is_header_only():
     assert len(csv_text.strip().splitlines()) == 1
 
 
+# Holdout confusion matrices of the 14 default models on bench_setup's data,
+# recorded before the models' hyperparameters became class constants.
+DEFAULT_MODEL_CONFUSIONS = {
+    "bagging": [[19, 0, 2], [0, 18, 1], [0, 0, 21]],
+    "bernoulli_nb": [[21, 0, 0], [2, 17, 0], [0, 0, 21]],
+    "decision_tree": [[20, 0, 1], [0, 18, 1], [0, 0, 21]],
+    "dummy": [[21, 0, 0], [19, 0, 0], [21, 0, 0]],
+    "extra_tree": [[19, 1, 1], [1, 18, 0], [0, 0, 21]],
+    "extra_trees": [[20, 0, 1], [0, 19, 0], [0, 0, 21]],
+    "gaussian_nb": [[21, 0, 0], [1, 18, 0], [0, 0, 21]],
+    "knn": [[20, 1, 0], [0, 19, 0], [0, 0, 21]],
+    "linear_svm_sgd": [[20, 1, 0], [1, 18, 0], [0, 0, 21]],
+    "logistic_regression": [[21, 0, 0], [2, 16, 1], [0, 0, 21]],
+    "nearest_centroid": [[20, 1, 0], [0, 19, 0], [0, 0, 21]],
+    "perceptron": [[21, 0, 0], [1, 17, 1], [0, 0, 21]],
+    "random_forest": [[20, 0, 1], [0, 19, 0], [0, 0, 21]],
+    "ridge": [[20, 0, 1], [1, 18, 0], [0, 0, 21]],
+}
+
+
+def test_every_default_model_keeps_its_pinned_holdout_confusion(bench_setup):
+    matrix, plan = bench_setup
+    leaderboard = run_benchmark(matrix, plan, "all", BenchOptions(seed=42))
+    assert {r.model: r.confusion for r in leaderboard.reports} == (
+        DEFAULT_MODEL_CONFUSIONS
+    )
+
+
 def test_render_table_uses_two_decimals(bench_setup):
     matrix, plan = bench_setup
     leaderboard = run_benchmark(matrix, plan, ["dummy"], BenchOptions(seed=42))
@@ -236,7 +264,7 @@ def test_extra_tree_fits_faster_than_random_forest():
         return sorted(samples)[1]
 
     single = median_fit_seconds(lambda: ExtraTreeModel(seed=0))
-    forest = median_fit_seconds(lambda: RandomForestModel(n_trees=100, seed=0))
+    forest = median_fit_seconds(lambda: RandomForestModel(seed=0))
     assert single < forest
 
 

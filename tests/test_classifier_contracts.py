@@ -1,14 +1,16 @@
 """Interface properties every portfolio model must satisfy."""
 
+import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowbench.classifiers import MODEL_NAMES, NotFittedError, make_model
+from flowbench.classifiers import MODEL_CLASSES, MODEL_NAMES, NotFittedError, make_model
 
 PROBABILISTIC = {
     "decision_tree",
@@ -105,23 +107,42 @@ def test_models_handle_two_class_subproblems():
         assert set(predicted.tolist()) <= {0, 1}
 
 
-_TREE_DEFAULTS = {"max_depth": None, "min_samples_split": 2, "min_impurity_decrease": 0.0}
-_SGD_DEFAULTS = {"max_epochs": 1000, "learning_rate": 0.01, "l2": 0.0001, "tol": 1e-06}
-_ENSEMBLE = {"n_trees": 100, **_TREE_DEFAULTS}
+_SEED = {"seed": 3}
+_SGD = {"max_epochs": 1000, "seed": 3}
 EXPECTED_HYPERPARAMETERS = {
-    "decision_tree": _TREE_DEFAULTS,
-    "extra_tree": {**_TREE_DEFAULTS, "seed": 3},
-    "bagging": {**_ENSEMBLE, "bootstrap": True, "max_features": "all", "seed": 3},
-    "random_forest": {**_ENSEMBLE, "bootstrap": True, "max_features": "sqrt", "seed": 3},
-    "extra_trees": {**_ENSEMBLE, "bootstrap": False, "max_features": "sqrt", "seed": 3},
+    "decision_tree": {},
+    "extra_tree": _SEED,
+    "bagging": _SEED,
+    "random_forest": _SEED,
+    "extra_trees": _SEED,
+    "knn": {},
+    "gaussian_nb": {},
+    "bernoulli_nb": {},
+    "nearest_centroid": {},
+    "ridge": {},
+    "linear_svm_sgd": _SGD,
+    "logistic_regression": _SGD,
+    "perceptron": _SGD,
+    "dummy": {},
+}
+
+# The settings every run uses, held as class constants.
+_TREE = {"n_trees": 1, "bootstrap": False, "max_features": "all"}
+_SGD_CONSTANTS = {"learning_rate": 0.01, "l2": 1e-4, "tol": 1e-6}
+FIXED_SETTINGS = {
+    "decision_tree": _TREE,
+    "extra_tree": _TREE,
+    "bagging": {"n_trees": 100, "bootstrap": True, "max_features": "all"},
+    "random_forest": {"n_trees": 100, "bootstrap": True, "max_features": "sqrt"},
+    "extra_trees": {"n_trees": 100, "bootstrap": False, "max_features": "sqrt"},
     "knn": {"k": 5},
-    "gaussian_nb": {"var_smoothing": 1e-09},
+    "gaussian_nb": {"var_smoothing": 1e-9},
     "bernoulli_nb": {"alpha": 1.0},
     "nearest_centroid": {},
     "ridge": {"lam": 1.0},
-    "linear_svm_sgd": {**_SGD_DEFAULTS, "seed": 3},
-    "logistic_regression": {**_SGD_DEFAULTS, "seed": 3},
-    "perceptron": {**_SGD_DEFAULTS, "seed": 3},
+    "linear_svm_sgd": _SGD_CONSTANTS,
+    "logistic_regression": _SGD_CONSTANTS,
+    "perceptron": {**_SGD_CONSTANTS, "l2": 0.0},
     "dummy": {},
 }
 
@@ -145,6 +166,20 @@ def test_hyperparameters_of_each_default_model(name):
     # Items, not the dict, so the key order model files are written in is pinned too.
     expected = EXPECTED_HYPERPARAMETERS[name]
     assert list(make_model(name, seed=3).hyperparameters.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_fixed_settings_of_each_model(name):
+    model = make_model(name, seed=3)
+    expected = FIXED_SETTINGS[name]
+    assert {key: getattr(model, key) for key in expected} == expected
+
+
+def test_constructors_take_only_seed_and_max_epochs():
+    parameters = Counter(
+        name for cls in MODEL_CLASSES.values() for name in inspect.signature(cls).parameters
+    )
+    assert parameters == {"seed": 7, "max_epochs": 3}
 
 
 def test_first_fit_imports_no_numpy_ma():

@@ -269,6 +269,20 @@ def test_predict_rejects_bad_model_file(synth_csv, tmp_path, capsys):
     assert "format_version" in capsys.readouterr().err
 
 
+def test_model_file_of_format_1_is_model_error(synth_csv, tmp_path, capsys):
+    # Format 1 stored every tunable hyperparameter; they are constants now.
+    model_file = tmp_path / "model.json"
+    assert main(["train", "--data", str(synth_csv), "--model", "knn",
+                 "--output", str(model_file)]) == EXIT_OK
+    document = json.loads(model_file.read_text())
+    document.update(format_version=1, hyperparameters={"k": 5})
+    model_file.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["predict", "--data", str(synth_csv),
+                 "--model-file", str(model_file)]) == EXIT_MODEL
+    assert capsys.readouterr().err == "model error: unsupported model format_version: 1\n"
+
+
 def _with_encoders(document, encoders) -> bytes:
     return json.dumps({**document, "encoders": encoders}).encode()
 
@@ -446,7 +460,10 @@ def test_integer_beyond_float64_precision_is_data_error(column, command, tmp_pat
 @pytest.mark.parametrize(
     "name, hyperparameter, value",
     [
+        # Keys that are class constants now, as format 1 files stored them.
         ("random_forest", "n_trees", 0),
+        ("decision_tree", "max_depth", None),
+        ("knn", "k", 5),
         ("extra_tree", "seed", -1),
         ("linear_svm_sgd", "seed", -1),
     ],
@@ -463,7 +480,9 @@ def test_model_file_rejected_by_constructor_is_model_error(
     capsys.readouterr()
     assert main(["predict", "--data", str(synth_csv),
                  "--model-file", str(model_file)]) == EXIT_MODEL
-    assert capsys.readouterr().err.startswith("model error: malformed model document")
+    err = capsys.readouterr().err
+    assert err.startswith("model error: malformed model document")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

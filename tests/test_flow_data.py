@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import sys
@@ -78,14 +79,15 @@ def _reference_parse(source) -> list[FlowRecord]:
 
 
 def _reference_text_stream(source) -> io.StringIO:
+    # newline="" leaves line breaks to csv, so a lone CR ends a line.
     if isinstance(source, (str, Path)):
         source = Path(source).read_bytes()
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8-sig"))
+        return io.StringIO(source.decode("utf-8-sig"), newline="")
     data = source.read()
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8-sig")
-    return io.StringIO(data)
+    return io.StringIO(data, newline="")
 
 
 def _outcome(parse, source):
@@ -97,12 +99,23 @@ def _outcome(parse, source):
     return records, [tuple(map(type, record)) for record in records]
 
 
-def assert_parses_like_reference(data: bytes, tmp_path: Path) -> None:
-    """The chunked parser matches the oracle on these bytes, as bytes and as a file."""
-    path = tmp_path / "flows.csv"
+def _sources(data: bytes, path: Path) -> dict:
+    """Makers of each kind of source of one file, written to `path`: a path, the
+    bytes, a byte stream and a text stream."""
     path.write_bytes(data)
-    for source in (data, path):
-        assert _outcome(parse_dataset, source) == _outcome(_reference_parse, source)
+    return {
+        "path": lambda: path,
+        "bytes": lambda: data,
+        "byte stream": lambda: io.BytesIO(data),
+        "text stream": lambda: io.StringIO(data.decode("utf-8-sig")),
+    }
+
+
+def assert_parses_like_reference(data: bytes, tmp_path: Path) -> None:
+    """The chunked parser matches the oracle on these bytes, from every kind of source."""
+    expected = _outcome(_reference_parse, data)
+    for kind, source in _sources(data, tmp_path / "flows.csv").items():
+        assert _outcome(parse_dataset, source()) == expected, kind
 
 
 def test_parse_reference_row():
@@ -553,15 +566,31 @@ def test_rows_before_undecodable_bytes_are_checked_first(quoted, tmp_path):
 
 
 def test_lone_carriage_return_mid_file_is_read_as_before(tmp_path):
-    # csv.reader reads a path with newline="", so there a lone CR ends a line,
-    # and it reads bytes by LF lines, so there it is a stray line break.
+    # Every source is read with newline="", as a path always was, so a lone CR
+    # ends a line in each; bytes and streams once read it as a stray line break.
     data = _file(_synth_lines(6)[:2] + [_with_cells(Family="Wanna\rCry")] + _synth_lines(6))
-    path = tmp_path / "cr.csv"
-    path.write_bytes(data)
-    assert _outcome(parse_dataset, data) == _outcome(_reference_parse, data)
-    with pytest.raises(RowError) as info:
-        parse_dataset(path)
-    assert str(info.value) == "row 3: expected 14 fields, found 4"
+    assert_parses_like_reference(data, tmp_path)
+    for kind, source in _sources(data, tmp_path / "cr.csv").items():
+        with pytest.raises(RowError) as info:
+            parse_dataset(source())
+        assert str(info.value) == "row 3: expected 14 fields, found 4", kind
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "byte stream", "text stream"])
+def test_carriage_returns_alone_end_lines_in_every_source(kind, tmp_path):
+    lines = _synth_lines(3 * SMALL_CHUNK + 2)
+    data = _file(lines, newline="\r")
+    assert_parses_like_reference(data, tmp_path)
+    source = _sources(data, tmp_path / "cr.csv")[kind]()
+    assert list(parse_dataset(source)) == list(parse_dataset(_file(lines)))
+
+
+@pytest.mark.parametrize("row", [FIGURE_ROW, FIGURE_ROW.replace(",5061,", ",99999,")])
+def test_a_byte_stream_stays_open_after_parsing(row):
+    stream = io.BytesIO(csv_bytes(row))
+    with contextlib.suppress(RowError):
+        parse_dataset(stream)
+    assert not stream.closed and stream.read() == b""
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -596,6 +625,17 @@ def test_flow_table_iterates_the_parsed_records(synth_records):
     assert len(table) == len(records)
     assert list(table) == records
     assert all(type(record) is FlowRecord for record in table)
+
+
+def test_iterating_a_table_lays_out_fields_in_canonical_order():
+    generated = generate_records(50, seed=3, signal_strength=0.6)
+    reordered = FlowTable(dict(reversed(generated.columns.items())), generated.labels)
+    assert list(reordered) == list(generated)
+    first = next(iter(reordered))
+    assert first.port == generated.columns["Port"][0]
+    assert first.protocol == generated.columns["Protocol"].vocabulary[
+        generated.columns["Protocol"].codes[0]
+    ]
 
 
 def test_header_only_table_is_empty():

@@ -58,15 +58,6 @@ def test_same_seed_gives_identical_weights(cls, rng):
     np.testing.assert_array_equal(a.bias_, b.bias_)
 
 
-def test_perceptron_ignores_l2(rng):
-    X = rng.normal(size=(60, 4))
-    y = rng.integers(0, 3, size=60)
-    a = PerceptronModel(max_epochs=20, l2=0.0, seed=3).fit(X, y)
-    b = PerceptronModel(max_epochs=20, l2=50.0, seed=3).fit(X, y)
-    np.testing.assert_array_equal(a.weights_, b.weights_)
-    np.testing.assert_array_equal(a.bias_, b.bias_)
-
-
 def test_fitted_svm_margin_is_positive(rng):
     X, y = _blobs(rng)
     model = LinearSVMModel(max_epochs=200, seed=2).fit(X, y)
@@ -122,8 +113,10 @@ def test_logistic_scores_are_normalized(rng):
 def _reference_fit(model, X, y):
     """The row-by-row SGD loop that the blocked kernel replaced, as an oracle.
 
-    Runs `model`'s hyperparameters on (X, y) without touching the kernel and
-    returns the weights, the biases and the number of epochs run.
+    Runs `model`'s settings on (X, y) without touching the kernel and
+    returns the weights, the biases and the number of epochs run. Every loss
+    decays the weights by 1 - lr_t * l2 before its step; the perceptron's l2
+    is 0.
     """
     model.classes_, codes = np.unique(y, return_inverse=True)
     n, d = X.shape
@@ -144,23 +137,23 @@ def _reference_fit(model, X, y):
         step += n
         epoch_rows = X[order]
         epoch_targets = targets[order]
+        decays = 1.0 - rates * lam
         if loss_kind == "hinge":
-            decays = 1.0 - rates * lam
             for x, t, lr, decay in zip(epoch_rows, epoch_targets, rates, decays):
                 pull = (t * (W @ x + b) < 1.0) * (lr * t)
                 W *= decay
                 W += pull[:, None] * x
                 b += pull
         elif loss_kind == "log":
-            decays = 1.0 - rates * lam
             for x, t, lr, decay in zip(epoch_rows, epoch_targets, rates, decays):
                 g = _sigmoid(W @ x + b) - (t + 1.0) / 2.0
                 W *= decay
                 W -= (lr * g)[:, None] * x
                 b -= lr * g
         else:  # perceptron
-            for x, t, lr in zip(epoch_rows, epoch_targets, rates):
+            for x, t, lr, decay in zip(epoch_rows, epoch_targets, rates, decays):
                 pull = (t * (W @ x + b) <= 0.0) * (lr * t)
+                W *= decay
                 W += pull[:, None] * x
                 b += pull
         loss = model._objective(X, targets, W, b)
@@ -168,6 +161,18 @@ def _reference_fit(model, X, y):
             break
         previous = loss
     return W, b, epochs
+
+
+def _sgd(cls, max_epochs=1000, seed=0, **constants):
+    """An SGD model with some of its class constants replaced on the instance.
+
+    The kernel reads learning_rate, l2 and tol from the model, so this
+    exercises it beyond the fixed defaults.
+    """
+    model = cls(max_epochs=max_epochs, seed=seed)
+    for name, value in constants.items():
+        setattr(model, name, value)
+    return model
 
 
 def _assert_matches_reference(model, W, b):
@@ -219,36 +224,32 @@ def test_kernel_matches_reference_when_rows_clear_the_margin_under_strong_l2(cls
     # Separable classes under strong L2: runs of rows take no step while the
     # lazy scale shrinks, so their scores come from the scale alone.
     X, y = _blobs(np.random.default_rng(1), n_per_class=20, spread=0.5)
-    model = cls(l2=5.0, max_epochs=60).fit(X, y)
-    W, b, _ = _reference_fit(cls(l2=5.0, max_epochs=60), X, y)
+    model = _sgd(cls, 60, l2=5.0).fit(X, y)
+    W, b, _ = _reference_fit(_sgd(cls, 60, l2=5.0), X, y)
     _assert_matches_reference(model, W, b)
 
 
 def test_tol_stops_at_the_reference_epoch(portfolio_train_rows):
     X, y = portfolio_train_rows
-    _, _, epochs = _reference_fit(LinearSVMModel(tol=1e-2), X, y)
+    _, _, epochs = _reference_fit(PerceptronModel(), X, y)
     assert 1 < epochs < 1000  # the tol stop, not the cap, ended the reference run
-    model = LinearSVMModel(tol=1e-2).fit(X, y)
-    W, b, _ = _reference_fit(LinearSVMModel(max_epochs=epochs, tol=-math.inf), X, y)
+    model = PerceptronModel().fit(X, y)
+    W, b, _ = _reference_fit(_sgd(PerceptronModel, epochs, tol=-math.inf), X, y)
     _assert_matches_reference(model, W, b)
     # One epoch more or less gives weights the tolerance tells apart.
     for other in (epochs - 1, epochs + 1):
-        W_other, _, _ = _reference_fit(
-            LinearSVMModel(max_epochs=other, tol=-math.inf), X, y
-        )
+        W_other, _, _ = _reference_fit(_sgd(PerceptronModel, other, tol=-math.inf), X, y)
         assert not np.allclose(model.weights_, W_other, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize(
     "params",
     [
-        {"l2": 100.0},  # the first decay is exactly 0
-        {"l2": 200.0},  # the fourth decay is exactly 0, inside a block
         {"l2": 150.0},  # the first decays are negative: the scale changes sign
         {"l2": 0.0},
         {"max_epochs": 0},
     ],
-    ids=["l2=100", "l2=200", "l2=150", "l2=0", "max_epochs=0"],
+    ids=["l2=150", "l2=0", "max_epochs=0"],
 )
 @pytest.mark.parametrize("cls", SGD_CLASSES)
 def test_edge_hyperparameters_fit_finite_reference_weights(cls, params):
@@ -258,8 +259,8 @@ def test_edge_hyperparameters_fit_finite_reference_weights(cls, params):
     params = {"max_epochs": 60, **params}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model = cls(**params).fit(X, y)
-        W, b, _ = _reference_fit(cls(**params), X, y)
+        model = _sgd(cls, **params).fit(X, y)
+        W, b, _ = _reference_fit(_sgd(cls, **params), X, y)
     assert np.isfinite(model.weights_).all() and np.isfinite(model.bias_).all()
     _assert_matches_reference(model, W, b)
 
@@ -267,11 +268,18 @@ def test_edge_hyperparameters_fit_finite_reference_weights(cls, params):
 # ridge -------------------------------------------------------------------------
 
 
+def _ridge(lam):
+    """A RidgeModel with lam in place of the fixed 1."""
+    model = RidgeModel()
+    model.lam = lam
+    return model
+
+
 def test_ridge_interpolates_invertible_square_system():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(3, 3))
     y = np.array([0, 1, 2])
-    model = RidgeModel(lam=0.0).fit(X, y)
+    model = _ridge(0.0).fit(X, y)
     targets = np.where(np.arange(3)[:, None] == np.arange(3)[None, :], 1.0, -1.0)
     residual = model.predict_scores(X) - targets
     assert float(np.mean(residual**2)) == pytest.approx(0.0, abs=1e-16)
@@ -280,7 +288,7 @@ def test_ridge_interpolates_invertible_square_system():
 def test_ridge_normal_equation_residual(rng):
     X = rng.normal(size=(40, 6))
     y = rng.integers(0, 3, size=40)
-    model = RidgeModel(lam=1.0).fit(X, y)
+    model = RidgeModel().fit(X, y)
     targets = np.where(y[:, None] == np.arange(3)[None, :], 1.0, -1.0)
     system = X.T @ X + np.eye(6)
     residual = system @ model.weights_.T - X.T @ targets
@@ -291,15 +299,18 @@ def test_ridge_shrinks_with_lambda(rng):
     X = rng.normal(size=(30, 4))
     y = rng.integers(0, 2, size=30)
     norms = [
-        float(np.linalg.norm(RidgeModel(lam=lam).fit(X, y).weights_))
+        float(np.linalg.norm(_ridge(lam).fit(X, y).weights_))
         for lam in (1.0, 10.0, 1000.0)
     ]
     assert norms[0] > norms[1] > norms[2]
 
 
-def test_ridge_singular_at_zero_lambda_advises_regularization():
-    X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # duplicated column
+@pytest.mark.parametrize("scale", [1e10, 1e300])
+def test_ridge_without_a_finite_solution_is_a_value_error(scale):
+    # At 1e10, X'X + I rounds to a singular matrix; at 1e300, X'X overflows.
+    X = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]) * scale
     y = np.array([0, 1, 0])
-    with pytest.raises(ValueError, match="lam > 0"):
-        RidgeModel(lam=0.0).fit(X, y)
-    RidgeModel(lam=1.0).fit(X, y)  # regularized system is solvable
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="^the normal equations have no finite solution in float64$"
+    ):
+        RidgeModel().fit(X, y)

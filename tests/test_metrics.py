@@ -255,13 +255,20 @@ def test_cv_error_is_mean_of_fold_errors():
     assert float(np.mean([0.1, 0.2, 0.3])) == pytest.approx(0.2, abs=1e-12)
 
 
+def _one_nn():
+    """A KNNModel voting over its one nearest neighbor instead of the fixed 5."""
+    model = KNNModel()
+    model.k = 1
+    return model
+
+
 def test_cv_evaluate_leave_one_out_matches_brute_force_1nn():
     x = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]).reshape(-1, 1)
     y = np.array([0, 0, 1, 1, 0, 0, 1, 1])
     matrix = _plain_matrix(x, y)
     folds = np.arange(x.shape[0])
     result = cv_evaluate(
-        lambda: KNNModel(k=1),
+        _one_nn,
         matrix,
         folds,
         lambda yt, yp: float(np.mean(yt != yp)),
@@ -280,10 +287,10 @@ def test_cv_error_invariant_under_fold_relabeling(rng):
     y = rng.integers(0, 2, size=30)
     matrix = _plain_matrix(x, y)
     folds = np.repeat(np.arange(3), 10)
-    base = cv_evaluate(lambda: KNNModel(k=3), matrix, folds,
+    base = cv_evaluate(lambda: KNNModel(), matrix, folds,
                        lambda yt, yp: float(np.mean(yt != yp)))
     relabeled = (folds + 1) % 3
-    again = cv_evaluate(lambda: KNNModel(k=3), matrix, relabeled,
+    again = cv_evaluate(lambda: KNNModel(), matrix, relabeled,
                         lambda yt, yp: float(np.mean(yt != yp)))
     assert base.cv_error == pytest.approx(again.cv_error, abs=1e-15)
     assert sorted(base.fold_errors) == sorted(again.fold_errors)
@@ -296,7 +303,7 @@ def test_cv_evaluate_attaches_fold_index_to_failures():
     folds = np.array([0, 0, 0, 1, 1, 1])
 
     def factory():
-        return KNNModel(k=5)  # training folds have only 3 rows
+        return KNNModel()  # k is 5; training folds have only 3 rows
 
     with pytest.raises(RuntimeError, match="fold 0"):
         cv_evaluate(factory, matrix, folds, lambda yt, yp: 0.0)

@@ -59,15 +59,19 @@ def test_round_trip_reproduces_predictions_exactly(name, trained_setup, tmp_path
 
 
 def test_unknown_format_version_rejected(tmp_path):
+    # Format 1 files also stored each model's tunable hyperparameters.
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"format_version": 2, "model": "dummy"}))
-    with pytest.raises(ModelFormatError, match="format_version"):
-        load_model(path)
+    for version in (1, 3):
+        path.write_text(json.dumps({"format_version": version, "model": "dummy"}))
+        with pytest.raises(
+            ModelFormatError, match=f"^unsupported model format_version: {version}$"
+        ):
+            load_model(path)
 
 
 def test_unknown_model_name_rejected(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"format_version": 1, "model": "mystery"}))
+    path.write_text(json.dumps({"format_version": 2, "model": "mystery"}))
     with pytest.raises(ModelFormatError, match="unknown model"):
         load_model(path)
 
@@ -81,103 +85,3 @@ def test_scaler_round_trips(trained_setup, tmp_path):
     artifact = load_model(path)
     np.testing.assert_array_equal(artifact.scaler.mean, matrix.scaler.mean)
     np.testing.assert_array_equal(artifact.scaler.std, matrix.scaler.std)
-
-
-def test_model_file_with_stored_feature_masks_still_loads(tmp_path):
-    # Earlier writers of format 1 also saved each ensemble's feature masks.
-    leaf = {"dist": [1.0, 0.0]}
-    document = {
-        "format_version": 1,
-        "model": "random_forest",
-        "hyperparameters": {
-            "n_trees": 2,
-            "max_depth": None,
-            "min_samples_split": 2,
-            "min_impurity_decrease": 0.0,
-            "bootstrap": True,
-            "max_features": "sqrt",
-            "seed": 0,
-        },
-        "state": {
-            "classes": [0, 1],
-            "n_features": 2,
-            "trees": [
-                {"feature": 1, "threshold": 0.5, "left": leaf,
-                 "right": {"dist": [0.0, 1.0]}},
-                leaf,
-            ],
-            "feature_masks": [[False, True], [False, False]],
-        },
-        "encoders": ENCODERS,
-        "scaler": None,
-        "column_names": ["a", "b"],
-    }
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(document))
-    artifact = load_model(path)
-    np.testing.assert_array_equal(
-        artifact.model.predict_scores([[0.0, 0.0], [0.0, 1.0]]),
-        [[1.0, 0.0], [0.5, 0.5]],
-    )
-    resaved = tmp_path / "new.json"
-    save_model(resaved, artifact.model, encoders={}, scaler=None)
-    assert "feature_masks" not in json.loads(resaved.read_text())["state"]
-
-
-@pytest.mark.parametrize("name", ["decision_tree", "extra_tree"])
-def test_single_tree_file_with_one_stored_tree_still_loads(name, tmp_path):
-    # Earlier writers of format 1 saved a single tree model's one tree
-    # under "tree"; every tree model now stores a "trees" list.
-    hyperparameters = make_model(name).hyperparameters
-    document = {
-        "format_version": 1,
-        "model": name,
-        "hyperparameters": hyperparameters,
-        "state": {
-            "classes": [0, 2],
-            "n_features": 1,
-            "tree": {"feature": 0, "threshold": 0.5, "left": {"dist": [1.0, 0.0]},
-                     "right": {"dist": [0.0, 1.0]}},
-        },
-        "encoders": ENCODERS,
-        "scaler": None,
-        "column_names": ["a"],
-    }
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(document))
-    model = load_model(path).model
-    assert model.hyperparameters == hyperparameters
-    np.testing.assert_array_equal(model.predict([[0.2], [0.9]]), [0, 2])
-    resaved = tmp_path / "new.json"
-    save_model(resaved, model, encoders={}, scaler=None)
-    state = json.loads(resaved.read_text())["state"]
-    assert "tree" not in state
-    assert state["trees"] == [document["state"]["tree"]]
-
-
-def test_knn_model_file_with_stored_k_still_loads(tmp_path):
-    # Earlier writers of format 1 also saved k in the knn state.
-    document = {
-        "format_version": 1,
-        "model": "knn",
-        "hyperparameters": {"k": 1},
-        "state": {
-            "classes": [0, 2],
-            "n_features": 1,
-            "train_rows": [[0.0], [1.0]],
-            "train_codes": [0, 1],
-            "k": 1,
-        },
-        "encoders": ENCODERS,
-        "scaler": None,
-        "column_names": ["a"],
-    }
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(document))
-    model = load_model(path).model
-    assert model.k == 1
-    assert model.train_codes_.dtype == np.int64
-    np.testing.assert_array_equal(model.predict([[0.2], [0.9]]), [0, 2])
-    resaved = tmp_path / "new.json"
-    save_model(resaved, model, encoders={}, scaler=None)
-    assert "k" not in json.loads(resaved.read_text())["state"]

@@ -11,7 +11,6 @@ from flowbench.classifiers import (
     ExtraTreesModel,
     MODEL_CLASSES,
     NotFittedError,
-    RandomForestModel,
     TreeNode,
     build_tree,
     gini,
@@ -195,13 +194,6 @@ def test_tree_fit_is_bit_identical_across_runs(rng):
     assert json.dumps(a.trees_[0].to_dict()) == json.dumps(b.trees_[0].to_dict())
 
 
-def test_max_depth_limits_tree():
-    X = np.arange(8, dtype=float).reshape(-1, 1)
-    y = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-    model = DecisionTreeModel(max_depth=1).fit(X, y)
-    assert model.trees_[0].left.is_leaf and model.trees_[0].right.is_leaf
-
-
 def test_prediction_equals_routed_leaf_argmax():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
@@ -232,9 +224,11 @@ def test_tree_scores_match_row_by_row_routing(rng):
     y = rng.integers(0, 3, size=300)
     probe = rng.normal(size=(200, 5))
     probe[:, 2] = rng.integers(-1, 5, size=200)
-    # Shallow trees have impure leaves, so the order of the forest's sum shows.
-    for model in (make_model("random_forest", seed=4), RandomForestModel(max_depth=3, seed=4)):
-        model.fit(X, y)
+    # Repeated rows with different labels end in impure leaves, so the order of
+    # the forest's sum shows.
+    repeated = np.sign(X)
+    for rows in (X, repeated):
+        model = make_model("random_forest", seed=4).fit(rows, y)
         total = np.zeros((probe.shape[0], 3))
         for root in model.trees_:
             # Every row on the root's threshold routes left and leaves the right
@@ -248,12 +242,13 @@ def test_tree_scores_match_row_by_row_routing(rng):
                     assert np.array_equal(tree_scores(root, layout, 3), expected)
             total += _routed_dists(root, probe)
         assert np.array_equal(model.predict_scores(probe), total / len(model.trees_))
+    assert (model.predict_scores(repeated).max(axis=1) < 1.0).any()
     assert tree_scores(model.trees_[0], probe[:0], 3).shape == (0, 3)
 
 
 def test_midpoint_rounding_onto_upper_value_still_splits():
     assert (ADJACENT_ROWS[0, 0] + ADJACENT_ROWS[1, 0]) / 2.0 == ADJACENT_ROWS[1, 0]
-    model = DecisionTreeModel(max_depth=3).fit(ADJACENT_ROWS, np.array([0, 1]))
+    model = DecisionTreeModel().fit(ADJACENT_ROWS, np.array([0, 1]))
     assert model.trees_[0].threshold == ADJACENT_ROWS[0, 0]
     assert model.predict(ADJACENT_ROWS).tolist() == [0, 1]
 
@@ -309,7 +304,7 @@ def test_extra_tree_separable_data_reaches_perfect_accuracy():
 def test_random_threshold_drawn_onto_upper_value_still_splits():
     y = np.array([0, 1])
     for seed in range(6):
-        for model in (ExtraTreeModel(seed=seed), ExtraTreesModel(n_trees=5, seed=seed)):
+        for model in (ExtraTreeModel(seed=seed), ExtraTreesModel(seed=seed)):
             model.fit(ADJACENT_ROWS, y)
             assert model.predict(ADJACENT_ROWS).tolist() == [0, 1]
 
@@ -449,29 +444,36 @@ def _reference_best_split(rows, thresholds, left, counts, min_decrease):
     return (int(rows[best]), float(thresholds[best])) if admissible else None
 
 
+def _reference_forest(X, codes, n_classes, *, splitter, max_features, seeds, bootstrap):
+    """The tree documents that build_tree grows, grown one tree at a time.
+
+    Tree i draws from `default_rng(seeds[i])`, first its bootstrap sample when
+    `bootstrap` is set.
+    """
+    n = X.shape[0]
+    docs = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        sample = rng.integers(0, n, size=n) if bootstrap else slice(None)
+        root = _reference_build_tree(
+            X[sample], codes[sample], n_classes,
+            splitter=splitter, max_features=max_features, rng=rng,
+        )
+        docs.append(root.to_dict())
+    return docs
+
+
 def _reference_trees(model, X, y):
     """The tree documents of `model` fit on (X, y), grown one tree at a time."""
     X = np.asarray(X, dtype=np.float64)
     classes, codes = np.unique(np.asarray(y, dtype=np.int64), return_inverse=True)
-    n, d = X.shape
-    per_split = model._resolve_max_features(d)
-    docs = []
-    for i in range(model.n_trees):
-        rng = np.random.default_rng([model.seed, i])
-        sample = rng.integers(0, n, size=n) if model.bootstrap else slice(None)
-        root = _reference_build_tree(
-            X[sample],
-            codes[sample],
-            classes.size,
-            splitter=model._splitter,
-            max_depth=model.max_depth,
-            min_samples_split=model.min_samples_split,
-            min_impurity_decrease=model.min_impurity_decrease,
-            max_features=per_split,
-            rng=rng,
-        )
-        docs.append(root.to_dict())
-    return docs
+    return _reference_forest(
+        X, codes, classes.size,
+        splitter=model._splitter,
+        max_features=model._resolve_max_features(X.shape[1]),
+        seeds=[[model.seed, i] for i in range(model.n_trees)],
+        bootstrap=model.bootstrap,
+    )
 
 
 def _assert_matches_reference(model, X, y):
@@ -494,24 +496,33 @@ def _random_problem(rng):
     return X, y
 
 
-def _random_tree_model(rng, name):
-    settings = {
-        "max_depth": [0, 1, 3, None][rng.integers(4)],
-        "min_samples_split": [2, 5][rng.integers(2)],
-        "min_impurity_decrease": [0.0, 0.01][rng.integers(2)],
-    }
-    if name == "decision_tree":
-        return DecisionTreeModel(**settings)
+def _random_tree_settings(rng, name):
+    """build_tree settings of the model's splitter: for an ensemble, a random
+    tree count, bootstrap flag and feature-subset size."""
+    cls = MODEL_CLASSES[name]
     seed = int(rng.integers(0, 2**40))
-    if name == "extra_tree":
-        return ExtraTreeModel(**settings, seed=seed)
-    return MODEL_CLASSES[name](
-        n_trees=[1, 7][rng.integers(2)],
-        bootstrap=bool(rng.integers(2)),
-        max_features=["sqrt", None, *range(1, 6)][rng.integers(7)],
-        seed=seed,
-        **settings,
+    if cls.n_trees == 1:
+        return {"splitter": cls._splitter, "max_features": None, "seeds": [[seed, 0]],
+                "bootstrap": False}
+    return {
+        "splitter": cls._splitter,
+        "max_features": [None, *range(1, 6)][rng.integers(6)],
+        "seeds": [[seed, i] for i in range(int(rng.choice([1, 7])))],
+        "bootstrap": bool(rng.integers(2)),
+    }
+
+
+def _assert_build_tree_matches_reference(settings, X, y):
+    classes, codes = np.unique(y, return_inverse=True)
+    expected = _reference_forest(X, codes, classes.size, **settings)
+    roots = build_tree(
+        X, codes, classes.size,
+        splitter=settings["splitter"],
+        max_features=settings["max_features"],
+        rngs=[np.random.default_rng(seed) for seed in settings["seeds"]],
+        bootstrap=settings["bootstrap"],
     )
+    assert [root.to_dict() for root in roots] == expected
 
 
 EDGE_PROBLEMS = [
@@ -529,10 +540,10 @@ EDGE_PROBLEMS = [
 def test_lockstep_trees_match_reference_on_random_problems(name):
     rng = np.random.default_rng(list(TREE_MODEL_NAMES).index(name))
     for X, y in EDGE_PROBLEMS:
-        _assert_matches_reference(_random_tree_model(rng, name), X, y)
+        _assert_build_tree_matches_reference(_random_tree_settings(rng, name), X, y)
     for _ in range(60):
         X, y = _random_problem(rng)
-        _assert_matches_reference(_random_tree_model(rng, name), X, y)
+        _assert_build_tree_matches_reference(_random_tree_settings(rng, name), X, y)
 
 
 @pytest.mark.parametrize("name", TREE_MODEL_NAMES)

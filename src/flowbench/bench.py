@@ -14,8 +14,9 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
-from flowbench.classifiers import MODEL_NAMES, make_model, validated_seed
+from flowbench.classifiers import MODEL_NAMES, make_model, non_negative_int
 from flowbench.features import FEATURE_COLUMNS, FeatureMatrix, SplitPlan, k_folds
+from flowbench.flow_data import csv_text
 from flowbench.metrics import (
     CVResult,
     accuracy,
@@ -68,7 +69,7 @@ class BenchOptions:
     workers: int = 1
 
     def __post_init__(self):
-        validated_seed(self.seed)
+        non_negative_int(self.seed, "seed")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.folds != 0 and self.folds < 2:
@@ -217,14 +218,9 @@ def _render_table(leaderboard: Leaderboard) -> str:
 
 
 def _render_csv(leaderboard: Leaderboard) -> str:
-    import csv as _csv
-    import io as _io
-
-    buffer = _io.StringIO()
-    writer = _csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["model", "status", *_METRIC_FIELDS, "cv_error"])
+    rows = [["model", "status", *_METRIC_FIELDS, "cv_error"]]
     for r in leaderboard.reports:
-        writer.writerow(
+        rows.append(
             [
                 r.model,
                 r.status,
@@ -232,7 +228,7 @@ def _render_csv(leaderboard: Leaderboard) -> str:
                 _fmt(r.cv.cv_error) if r.cv is not None else "",
             ]
         )
-    return buffer.getvalue()
+    return csv_text(rows)
 
 
 def _fmt(value: float | None) -> str:

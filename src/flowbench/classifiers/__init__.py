@@ -1,6 +1,6 @@
 """From-scratch classifier portfolio behind one fit/predict/score interface."""
 
-from flowbench.classifiers.base import Classifier, NotFittedError, validated_seed
+from flowbench.classifiers.base import Classifier, NotFittedError, non_negative_int
 from flowbench.classifiers.bayes import BernoulliNBModel, GaussianNBModel
 from flowbench.classifiers.dummy import DummyModel
 from flowbench.classifiers.ensemble import (
@@ -36,36 +36,3 @@ from flowbench.classifiers.tree import (
     gini,
     tree_scores,
 )
-
-__all__ = [
-    "BaggingModel",
-    "BernoulliNBModel",
-    "Classifier",
-    "DecisionTreeModel",
-    "DummyModel",
-    "ExtraTreeModel",
-    "ExtraTreesModel",
-    "FORMAT_VERSION",
-    "GaussianNBModel",
-    "KNNModel",
-    "LinearSVMModel",
-    "LogisticRegressionModel",
-    "MODEL_CLASSES",
-    "MODEL_NAMES",
-    "ModelArtifact",
-    "ModelFormatError",
-    "NearestCentroidModel",
-    "NotFittedError",
-    "PerceptronModel",
-    "RandomForestModel",
-    "RidgeModel",
-    "TreeNode",
-    "build_tree",
-    "gini",
-    "load_model",
-    "make_model",
-    "margin",
-    "save_model",
-    "tree_scores",
-    "validated_seed",
-]

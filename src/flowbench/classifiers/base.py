@@ -11,11 +11,11 @@ class NotFittedError(RuntimeError):
     """predict or predict_scores was called before fit."""
 
 
-def validated_seed(seed) -> int:
-    """The one seed rule of every model and run: a non-negative integer."""
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    return seed
+def non_negative_int(value, name: str) -> int:
+    """The one rule of every seed and epoch cap: an int, not a bool, not negative."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer")
+    return value
 
 
 class Classifier:

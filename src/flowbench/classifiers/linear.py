@@ -43,7 +43,7 @@ from operator import mul
 
 import numpy as np
 
-from flowbench.classifiers.base import Classifier, validated_seed
+from flowbench.classifiers.base import Classifier, non_negative_int
 
 # Rows per block of the SGD kernel: two small products per block against a
 # Python recurrence whose cost grows with the block.
@@ -89,8 +89,8 @@ class _SGDBase(_LinearModel):
 
     def __init__(self, max_epochs: int = 1000, seed: int = 0):
         super().__init__()
-        self.max_epochs = max_epochs
-        self.seed = validated_seed(seed)
+        self.max_epochs = non_negative_int(max_epochs, "max_epochs")
+        self.seed = non_negative_int(seed, "seed")
 
     def _fit(self, X, codes):
         n, d = X.shape

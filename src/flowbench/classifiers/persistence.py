@@ -51,6 +51,8 @@ def load_model(path) -> ModelArtifact:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"not a UTF-8 JSON document: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("the document nests too deeply to decode") from None
     if not isinstance(document, dict):
         raise ModelFormatError("the document is not a JSON object")
     version = document.get("format_version")
@@ -68,7 +70,8 @@ def load_model(path) -> ModelArtifact:
             encoders=_checked_encoders(document["encoders"]),
             scaler=_checked_scaler(document.get("scaler"), model.n_features_),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # RecursionError: TreeNode.from_dict recurses once per tree level.
         raise ModelFormatError(f"malformed model document: {exc}") from exc
 
 

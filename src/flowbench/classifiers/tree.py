@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from flowbench.classifiers.base import Classifier, validated_seed
+from flowbench.classifiers.base import Classifier, non_negative_int
 
 
 def gini(dist) -> float:
@@ -471,7 +471,7 @@ class SeededTreeModel(DecisionTreeModel):
 
     def __init__(self, seed: int = 0):
         super().__init__()
-        self.seed = validated_seed(seed)
+        self.seed = non_negative_int(seed, "seed")
 
 
 class ExtraTreeModel(SeededTreeModel):

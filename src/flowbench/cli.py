@@ -19,14 +19,14 @@ from flowbench.classifiers import (
     NotFittedError,
     load_model,
     make_model,
+    non_negative_int,
     save_model,
-    validated_seed,
 )
 from flowbench.features import encode_records, fit_transform, stratified_split
 from flowbench.flow_data import (
+    CLASS_TOKENS,
     RowError,
     SchemaError,
-    ThreatClass,
     parse_dataset,
     records_to_csv,
     summarize,
@@ -45,8 +45,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_MODEL = 3
 
-_CLASS_TOKENS = [cls.token for cls in ThreatClass]
-
 
 class _UsageError(Exception):
     pass
@@ -64,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
 def _seed(text: str) -> int:
     """The --seed type of every subcommand: the seed rule of models and BenchOptions."""
     try:
-        return validated_seed(int(text))
+        return non_negative_int(int(text), "seed")
     except ValueError:
         raise argparse.ArgumentTypeError("seed must be a non-negative integer") from None
 
@@ -240,7 +238,7 @@ def _cmd_roc(args) -> int:
     except Exception as exc:
         raise _ModelError(str(exc)) from exc
     curve = roc_curves(matrix.labels[plan.test_indices], scores)
-    _emit(roc_to_csv(curve, _CLASS_TOKENS), args.output)
+    _emit(roc_to_csv(curve, CLASS_TOKENS), args.output)
     return EXIT_OK
 
 
@@ -272,7 +270,7 @@ def _cmd_predict(args) -> int:
         raise _ModelError(str(exc)) from exc
     codes = predicted.tolist()
     # load_model admits only known class codes, so each indexes its line ending.
-    endings = [f",{code},{token}\n" for code, token in enumerate(_CLASS_TOKENS)]
+    endings = [f",{code},{token}\n" for code, token in enumerate(CLASS_TOKENS)]
     body = "".join(map(str.__add__, map(str, range(len(codes))), map(endings.__getitem__, codes)))
     _emit("row,prediction_code,prediction\n" + body, args.output)
     return EXIT_OK

@@ -168,24 +168,16 @@ def k_folds(labels, k: int, seed: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if k < 2:
         raise ValueError("k must be at least 2")
-    classes, counts = np.unique(labels, return_counts=True)
+    _, dense, counts = np.unique(labels, return_inverse=True, return_counts=True)
     smallest = int(counts.min())
     if k > smallest:
         raise ValueError(f"k={k} exceeds the smallest class size ({smallest})")
-    # Per-fold class quotas from the sorted label sequence: fold i receives
-    # every k-th element, which keeps both fold sizes and class balance tight.
-    dense = np.searchsorted(classes, labels)
-    ordered = np.sort(dense)
-    quota = np.stack(
-        [np.bincount(ordered[i::k], minlength=classes.size) for i in range(k)]
-    )
+    # Fold i receives every k-th label of the labels sorted by class, which
+    # keeps both fold sizes and class balance tight: a class at offset `start`
+    # of that order takes its folds, in fold order, over its shuffled members.
     rng = np.random.default_rng(seed)
     assignment = np.empty(labels.size, dtype=np.int64)
-    for ci in range(classes.size):
+    for ci, start in enumerate(np.cumsum(counts) - counts):
         members = rng.permutation(np.flatnonzero(dense == ci))
-        start = 0
-        for fold in range(k):
-            take = int(quota[fold, ci])
-            assignment[members[start : start + take]] = fold
-            start += take
+        assignment[members] = np.sort(np.arange(start, start + members.size) % k)
     return assignment

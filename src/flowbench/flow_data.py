@@ -39,7 +39,6 @@ import enum
 import io
 import itertools
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +47,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 PROTOCOL_VOCABULARY = ("ICMP", "TCP", "UDP")
+# Each label class's token, indexed by class code.
+CLASS_TOKENS = ("A", "S", "SS")
 
 
 class SchemaError(ValueError):
@@ -71,16 +72,10 @@ class ThreatClass(enum.IntEnum):
 
     @property
     def token(self) -> str:
-        return _CLASS_TO_TOKEN[self]
+        return CLASS_TOKENS[self]
 
 
-_TOKEN_TO_CLASS = {
-    "A": ThreatClass.ANOMALY,
-    "S": ThreatClass.SIGNATURE,
-    "SS": ThreatClass.SYNTHETIC_SIGNATURE,
-}
-_CLASS_TO_TOKEN = {cls: token for token, cls in _TOKEN_TO_CLASS.items()}
-_CLASSES = tuple(ThreatClass)
+_TOKEN_TO_CLASS = {token: ThreatClass(code) for code, token in enumerate(CLASS_TOKENS)}
 
 
 class FlowRecord(NamedTuple):
@@ -133,8 +128,7 @@ def _integer(cell: str) -> int:
         value = Decimal(cell)
         if abs(value) <= MAX_EXACT_INTEGER:
             return int(value)
-    # A cell of at most 15 characters is below 10**15 in magnitude, the fast path.
-    if len(cell) > 15 and abs(value) > MAX_EXACT_INTEGER:
+    if abs(value) > MAX_EXACT_INTEGER:
         raise ValueError("integer magnitude above 2**53")
     return value
 
@@ -166,7 +160,7 @@ _amount = IntegerCell(0, MAX_EXACT_INTEGER)
 def _protocol(cell: str) -> str:
     if cell not in PROTOCOL_VOCABULARY:
         raise ValueError(f"unknown value {_shown(cell)}")
-    return sys.intern(cell)
+    return cell
 
 
 def _label(cell: str) -> ThreatClass:
@@ -176,22 +170,19 @@ def _label(cell: str) -> ThreatClass:
         raise ValueError(f"unknown label {_shown(cell)}") from None
 
 
-# Text cells repeat a small vocabulary, so one shared copy of each saves memory.
-_text = sys.intern
-
 COLUMNS = (
     ("Time", _amount),
     ("Protocol", _protocol),
-    ("Flag", _text),
-    ("Family", _text),
+    ("Flag", str),
+    ("Family", str),
     ("Clusters", IntegerCell(-MAX_EXACT_INTEGER, MAX_EXACT_INTEGER)),
-    ("SeedAddress", _text),
-    ("ExpAddress", _text),
+    ("SeedAddress", str),
+    ("ExpAddress", str),
     ("BTC", _amount),
     ("USD", _amount),
     ("Netflow_Bytes", _amount),
-    ("IPaddress", _text),
-    ("Threats", _text),
+    ("IPaddress", str),
+    ("Threats", str),
     ("Port", IntegerCell(0, 65535)),
     ("Prediction", _label),
 )
@@ -235,7 +226,7 @@ class FlowTable:
             if isinstance(column, TextColumn):
                 column = np.array(column.vocabulary, dtype=object)[column.codes]
             fields.append(column.tolist())
-        fields.append(np.array(_CLASSES, dtype=object)[self.labels].tolist())
+        fields.append(np.array(list(ThreatClass), dtype=object)[self.labels].tolist())
         return map(tuple.__new__, itertools.repeat(FlowRecord), zip(*fields))
 
 
@@ -332,7 +323,7 @@ def _parse_stream(stream) -> FlowTable:
             try:
                 _append_columns(builders, [flat[p::width] for p in positions])
             except (ValueError, OverflowError):
-                _raise_first_row_error(_comma_rows(block), first_row, positions, width)
+                _raise_first_row_error(csv.reader(block), first_row, positions, width)
                 raise
         first_row += len(block)
     *features, labels = builders
@@ -366,12 +357,6 @@ def _split_block(block: list[str], width: int) -> list[str] | None:
         if not text:
             return []
     return text.removesuffix("\n").replace("\n", ",").split(",")
-
-
-def _comma_rows(block: list[str]) -> list[list[str]]:
-    """The rows csv.reader reads from a block that _split_block splits."""
-    lines = (line.rstrip("\r\n") for line in block)
-    return [line.split(",") if line else [] for line in lines]
 
 
 def _parse_rows(builders, reader, first_row, positions, width) -> None:
@@ -499,8 +484,6 @@ def records_to_csv(table: FlowTable) -> str:
     the rows are joined from the formatted columns CHUNK_ROWS at a time, so
     only one chunk's cells are held as Python lists at once.
     """
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(CANONICAL_COLUMNS)
     columns = []  # per column: its formatted values, and each row's index into them
     for header in CANONICAL_COLUMNS[:-1]:
         column = table.columns[header]
@@ -510,9 +493,8 @@ def records_to_csv(table: FlowTable) -> str:
             values, codes = np.unique(column, return_inverse=True)
             formatted = list(map(str, values.tolist()))
         columns.append((np.array(formatted, dtype=object), codes))
-    tokens = _csv_cells(cls.token for cls in ThreatClass)
-    columns.append((np.array(tokens, dtype=object), table.labels))
-    lines = [buffer.getvalue().removesuffix("\n")]
+    columns.append((np.array(_csv_cells(CLASS_TOKENS), dtype=object), table.labels))
+    lines = [csv_text([CANONICAL_COLUMNS]).removesuffix("\n")]
     for start in range(0, len(table), CHUNK_ROWS):
         rows = slice(start, start + CHUNK_ROWS)
         cells = [pool.take(codes[rows]).tolist() for pool, codes in columns]
@@ -521,18 +503,17 @@ def records_to_csv(table: FlowTable) -> str:
     return "\n".join(lines)
 
 
+def csv_text(rows: Iterable) -> str:
+    """The rows as csv.writer writes them, each ending in a newline."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def _csv_cells(values: Iterable[str]) -> list[str]:
     """Each value as csv.writer writes it among other cells of a row, quoted as needed."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    cells = []
-    for value in values:
-        writer.writerow((value, ""))
-        # The row is the cell, a comma, an empty cell and the line end.
-        cells.append(buffer.getvalue()[:-2])
-        buffer.seek(0)
-        buffer.truncate()
-    return cells
+    # The row is the cell, a comma, an empty cell and the line end.
+    return [csv_text([(value, "")])[:-2] for value in values]
 
 
 def summarize(table: FlowTable) -> DatasetSummary:

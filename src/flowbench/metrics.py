@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -11,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from flowbench.features import FeatureMatrix
-from flowbench.flow_data import CANONICAL_COLUMNS
+from flowbench.flow_data import CANONICAL_COLUMNS, csv_text
 
 
 @dataclass
@@ -232,13 +230,11 @@ def pearson_matrix(matrix: FeatureMatrix) -> CorrelationMatrix:
 
 def correlation_to_csv(corr: CorrelationMatrix) -> str:
     """One row per unordered column pair (diagonal included)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["column_a", "column_b", "correlation", "involves_constant"])
     names = corr.column_names
+    rows = [["column_a", "column_b", "correlation", "involves_constant"]]
     for i in range(len(names)):
         for j in range(i, len(names)):
-            writer.writerow(
+            rows.append(
                 [
                     names[i],
                     names[j],
@@ -246,16 +242,14 @@ def correlation_to_csv(corr: CorrelationMatrix) -> str:
                     int(bool(corr.constant[i] or corr.constant[j])),
                 ]
             )
-    return buffer.getvalue()
+    return csv_text(rows)
 
 
 def roc_to_csv(curve: RocCurve, class_tokens: Sequence[str] | None = None) -> str:
     """One row per curve point: class, auc, threshold, fpr, tpr."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["class", "auc", "threshold", "fpr", "tpr"])
+    rows = [["class", "auc", "threshold", "fpr", "tpr"]]
     for code, points in zip(curve.classes, curve.per_class):
         label = class_tokens[code] if class_tokens is not None else str(code)
         for t, x, y in zip(points.thresholds, points.fpr, points.tpr):
-            writer.writerow([label, repr(points.auc), repr(float(t)), repr(float(x)), repr(float(y))])
-    return buffer.getvalue()
+            rows.append([label, repr(points.auc), repr(float(t)), repr(float(x)), repr(float(y))])
+    return csv_text(rows)

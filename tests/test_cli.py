@@ -287,6 +287,16 @@ def _with_encoders(document, encoders) -> bytes:
     return json.dumps({**document, "encoders": encoders}).encode()
 
 
+def _nested_tree(document, depth: int) -> bytes:
+    """A decision_tree document whose one tree nests `depth` levels deep."""
+    leaf = '{"dist": [1.0, 0.0, 0.0]}'
+    tree = ('{"feature": 0, "threshold": 0.5, "left": ' * depth + leaf
+            + (', "right": ' + leaf + "}") * depth)
+    state = {"classes": [0, 1, 2], "n_features": 13, "trees": ["TREE"]}
+    document = {**document, "model": "decision_tree", "hyperparameters": {}, "state": state}
+    return json.dumps(document).replace('"TREE"', tree).encode()
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -298,9 +308,11 @@ def _with_encoders(document, encoders) -> bytes:
         lambda doc: _with_encoders(doc, {**doc["encoders"], "Flag": {"A": "x"}}),
         lambda doc: _with_encoders(doc, {**doc["encoders"], "Flag": {"A": True}}),
         lambda doc: _with_encoders(doc, {**doc["encoders"], "Flag": {"A": 10**400}}),
+        lambda doc: _nested_tree(doc, 1_500),
+        lambda doc: _nested_tree(doc, 100_000),
     ],
     ids=["list", "not-json", "not-utf8", "no-encoders", "encoders-int", "code-text",
-         "code-bool", "code-beyond-float"],
+         "code-bool", "code-beyond-float", "tree-1500-deep", "tree-100000-deep"],
 )
 def test_model_file_that_is_not_a_model_document_is_model_error(
     edit, synth_csv, tmp_path, capsys
@@ -466,6 +478,13 @@ def test_integer_beyond_float64_precision_is_data_error(column, command, tmp_pat
         ("knn", "k", 5),
         ("extra_tree", "seed", -1),
         ("linear_svm_sgd", "seed", -1),
+        ("extra_tree", "seed", True),
+        ("linear_svm_sgd", "seed", False),
+        ("perceptron", "max_epochs", "abc"),
+        ("perceptron", "max_epochs", -5),
+        ("perceptron", "max_epochs", 1.5),
+        ("perceptron", "max_epochs", None),
+        ("perceptron", "max_epochs", True),
     ],
 )
 def test_model_file_rejected_by_constructor_is_model_error(

@@ -80,6 +80,6 @@ def test_seed_must_be_non_negative_integer():
               if "seed" in inspect.signature(cls).parameters]
     assert {LinearSVMModel, ExtraTreeModel, BaggingModel} <= set(seeded)
     for cls in seeded:
-        for bad in (-1, 1.5, [5, 0]):
+        for bad in (-1, 1.5, [5, 0], True):
             with pytest.raises(ValueError, match="seed"):
                 cls(seed=bad)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from flowbench.features import (
     transform,
 )
 from flowbench.flow_data import parse_dataset
+from flowbench.synth import generate_records
 
 from conftest import FIGURE_ROW, csv_bytes
 
@@ -196,3 +199,33 @@ def test_k_folds_rejects_k_above_smallest_class():
         k_folds(labels, 3, seed=0)
     with pytest.raises(ValueError):
         k_folds(labels, 1, seed=0)
+
+
+# Fold assignments pinned as first drawn, so a change to the draw fails here.
+# SHA-256 of the int64 assignment of the bench tests' 300 labels, by (k, seed).
+_BENCH_FOLD_DIGESTS = {
+    (2, 0): "bd7e732b08c90f2440928f227ba1acfc4966c844d076cac8b9703da38d0a4e1f",
+    (2, 42): "8773d97c870aadea02706c7670b50c1fdc8d60b669176f553a82b4e937259406",
+    (3, 0): "c4a77ddef2190043f060f90f7cd4471edfcf8a614b1f3c1a2adad697396b4845",
+    (3, 42): "99a0eeefe99ddc9eb8a97dd5708a81dee4d1473756f0af233bba08962ba0d474",
+    (5, 0): "63f10586f0bc98e6fb7588f8755d0de7b89470e754f4c88dd4b3e889c50a73cb",
+    (5, 42): "07024e3fede9ff051e0593f4ef92bf72540af7d7e0e00e440a5156f015641230",
+}
+
+
+def test_k_folds_pinned_on_the_bench_labels():
+    labels = fit_transform(generate_records(300, seed=5, signal_strength=0.9)).labels
+    for (k, seed), digest in _BENCH_FOLD_DIGESTS.items():
+        assignment = k_folds(labels, k, seed)
+        assert assignment.dtype == np.int64
+        assert hashlib.sha256(assignment.tobytes()).hexdigest() == digest, (k, seed)
+
+
+def test_k_folds_pinned_on_unsorted_sparse_codes():
+    # Classes 0, 2 and 5 of sizes 7, 10 and 13, shuffled.
+    labels = [5, 2, 2, 0, 0, 5, 2, 2, 5, 5, 5, 5, 5, 5, 0,
+              5, 2, 2, 0, 0, 2, 0, 2, 2, 5, 5, 2, 5, 0, 5]
+    assert k_folds(labels, 7, seed=0).tolist() == [
+        4, 2, 5, 5, 6, 3, 0, 1, 0, 6, 3, 1, 5, 5, 0,
+        4, 2, 4, 2, 1, 1, 4, 3, 6, 6, 2, 0, 0, 3, 1,
+    ]

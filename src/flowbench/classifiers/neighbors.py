@@ -50,12 +50,35 @@ class KNNModel(Classifier):
         for start in range(0, X.shape[0], block_rows):
             block = X[start : start + block_rows]
             augmented = np.hstack([block, ones[: block.shape[0]]])
-            d2 = augmented @ self._neighbor_basis
-            nearest = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-            votes = self.train_codes_[nearest]
-            counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=1)
+            votes = self.train_codes_[self._nearest(augmented @ self._neighbor_basis)]
+            counts = (votes[:, :, None] == np.arange(n_classes)).sum(axis=0)
             out[start : start + block_rows] = counts / self.k
         return out
+
+    def _nearest(self, d2):
+        """Column indices of each row's k smallest distances, shape (k, rows).
+
+        Equal to ``np.argsort(d2, axis=1, kind="stable")[:, :k].T``: exact ties
+        go to the lower training row and NaN ranks last. Overwrites ``d2``.
+        """
+        flat = d2.reshape(-1)
+        offsets = np.arange(0, d2.size, d2.shape[1])
+        nearest = np.empty((self.k, d2.shape[0]), dtype=np.intp)
+        distances = np.empty((self.k, d2.shape[0]))
+        # For a small k, k argmin passes cost less than one argpartition.
+        # Each pass takes the first smallest distance and masks it with inf.
+        for j in range(self.k):
+            nearest[j] = d2.argmin(axis=1)
+            at = offsets + nearest[j]
+            distances[j] = flat[at]
+            flat[at] = np.inf
+        if np.isfinite(distances).all():
+            return nearest
+        # argmin returns a row's first NaN, and with fewer than k finite
+        # distances it picks a masked entry again: restore d2 and sort it.
+        for j in reversed(range(self.k)):
+            flat[offsets + nearest[j]] = distances[j]
+        return np.argsort(d2, axis=1, kind="stable")[:, : self.k].T
 
     def _load_state(self, state):
         super()._load_state(state)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,8 +49,16 @@ def save_model(
 
 def load_model(path) -> ModelArtifact:
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        document = json.loads(
+            Path(path).read_text(encoding="utf-8"),
+            parse_constant=_reject_constant,
+            parse_float=_finite_float,
+        )
+    except ModelFormatError:
+        raise
+    except ValueError as exc:
+        # Undecodable bytes, bad JSON, or an integer literal beyond Python's
+        # digit limit for int().
         raise ModelFormatError(f"not a UTF-8 JSON document: {exc}") from None
     except RecursionError:
         raise ModelFormatError("the document nests too deeply to decode") from None
@@ -70,9 +79,21 @@ def load_model(path) -> ModelArtifact:
             encoders=_checked_encoders(document["encoders"]),
             scaler=_checked_scaler(document.get("scaler"), model.n_features_),
         )
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # OverflowError: an integer beyond float64's range in a float array.
         # RecursionError: TreeNode.from_dict recurses once per tree level.
         raise ModelFormatError(f"malformed model document: {exc}") from exc
+
+
+def _reject_constant(name: str):
+    raise ModelFormatError(f"non-finite number in the document: {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ModelFormatError(f"non-finite number in the document: {text}")
+    return value
 
 
 def _check_classes(classes) -> None:

@@ -110,6 +110,70 @@ def test_knn_scores_do_not_depend_on_the_block_size(rng, monkeypatch):
     assert len(digests) == 1
 
 
+def _oracle_nearest(model, queries):
+    """Each query's k nearest training rows by a stable sort of the computed distances."""
+    augmented = np.hstack([queries, np.ones((queries.shape[0], 1))])
+    d2 = augmented @ model._neighbor_basis
+    return np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+
+
+def _oracle_scores(model, queries):
+    votes = model.train_codes_[_oracle_nearest(model, queries)]
+    return np.stack(
+        [(votes == c).sum(axis=1) / model.k for c in range(model.classes_.size)], axis=1
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 512])
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_knn_scores_match_the_stable_sort_oracle(k, rows, rng, monkeypatch):
+    # Small-integer rows make every distance exact in any BLAS kernel, so
+    # the oracle's ties are the model's ties at every block size.
+    X = rng.integers(0, 3, size=(40, 4)).astype(float)
+    y = rng.integers(0, 3, size=40)
+    queries = rng.integers(0, 3, size=(50, 4)).astype(float)
+    model = _knn(k).fit(X, y)
+    monkeypatch.setattr(neighbors, "BLOCK_BYTES", rows * 8 * X.shape[0])
+    assert np.array_equal(model.predict_scores(queries), _oracle_scores(model, queries))
+
+
+def test_knn_tie_at_equal_distance_goes_to_the_lower_training_row(rng):
+    X = np.ones((10, 3))
+    y = np.array([2] * 5 + [0] * 5)
+    model = KNNModel().fit(X, y)
+    scores = model.predict_scores(rng.normal(size=(6, 3)))
+    assert model.classes_.tolist() == [0, 2]
+    assert scores[:, 1].tolist() == [1.0] * 6
+
+
+@pytest.mark.parametrize(
+    "far_rows, query_far",
+    [([1, 2, 4, 6, 7], False), ([1, 2, 4, 6, 7], True), ([3], True)],
+    ids=["five-inf", "five-nan", "one-nan"],
+)
+def test_knn_rows_with_non_finite_distances_get_k_distinct_neighbors(
+    far_rows, query_far, rng
+):
+    # A 1e200 coordinate squares to inf, so those training rows sit at an
+    # infinite computed distance, or at NaN (inf - inf) from a query that
+    # shares the coordinate.
+    X = rng.integers(0, 3, size=(8, 3)).astype(float)
+    X[far_rows, 0] = 1e200
+    y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+    queries = rng.integers(0, 3, size=(4, 3)).astype(float)
+    if query_far:
+        queries[1:3, 0] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = KNNModel().fit(X, y)
+        augmented = np.hstack([queries, np.ones((4, 1))])
+        d2 = augmented @ model._neighbor_basis
+        assert np.isnan(d2).any() == query_far and np.isinf(d2).any()
+        nearest = model._nearest(d2.copy()).T
+        assert np.array_equal(nearest, _oracle_nearest(model, queries))
+        assert all(len(set(row)) == model.k for row in nearest.tolist())
+        assert np.array_equal(model.predict_scores(queries), _oracle_scores(model, queries))
+
+
 def test_nearest_centroid_hand_case():
     X = np.array([[0.0, 0.0], [10.0, 10.0]])
     y = np.array([0, 1])

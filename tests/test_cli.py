@@ -328,6 +328,47 @@ def test_model_file_that_is_not_a_model_document_is_model_error(
     assert err.startswith("model error: ") and err.count("\n") == 1
 
 
+def _predict_with_literal(name, path, literal, synth_csv, tmp_path, capsys) -> str:
+    """Stderr of `predict` with a `name` file holding the JSON text `literal` at `path`."""
+    model_file = tmp_path / "model.json"
+    assert main(["train", "--data", str(synth_csv), "--model", name,
+                 "--output", str(model_file)]) == EXIT_OK
+    document = json.loads(model_file.read_text())
+    *parents, last = path
+    target = document
+    for key in parents:
+        target = target[key]
+    target[last] = "LITERAL"
+    model_file.write_text(json.dumps(document).replace('"LITERAL"', literal))
+    capsys.readouterr()
+    assert main(["predict", "--data", str(synth_csv),
+                 "--model-file", str(model_file)]) == EXIT_MODEL
+    return capsys.readouterr().err
+
+
+def test_model_file_with_an_integer_beyond_the_digit_limit_is_model_error(
+    synth_csv, tmp_path, capsys
+):
+    # int() refuses more than 4,300 digits, so json.loads raises a plain ValueError.
+    err = _predict_with_literal("perceptron", ("hyperparameters", "seed"), "9" * 5_001,
+                                synth_csv, tmp_path, capsys)
+    assert err.startswith("model error: ") and err.count("\n") == 1
+    assert "4300 digits" in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "name, path",
+    [("knn", ("state", "train_rows", 0, 0)), ("ridge", ("state", "weights", 0, 0))],
+    ids=["knn", "ridge"],
+)
+def test_model_file_with_a_non_finite_number_is_model_error(
+    name, path, literal, synth_csv, tmp_path, capsys
+):
+    err = _predict_with_literal(name, path, literal, synth_csv, tmp_path, capsys)
+    assert err == f"model error: non-finite number in the document: {literal}\n"
+
+
 def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, capsys):
     model_file = tmp_path / "model.json"
     assert main(["train", "--data", str(synth_csv), "--model", "knn",
@@ -369,10 +410,15 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
          "centroids must have shape (k, d) = (3, 13), found (2, 13)"),
         ("knn", lambda doc: doc["state"].update(train_codes=doc["state"]["train_codes"][:-1]),
          "train_codes must have shape (m) = "),
+        ("knn", lambda doc: doc["state"]["train_rows"][0].__setitem__(0, 10**400),
+         "int too large to convert to float"),
+        ("ridge", lambda doc: doc["state"]["weights"][0].__setitem__(0, -(10**400)),
+         "int too large to convert to float"),
     ],
     ids=["unknown-class", "decreasing-classes", "short-scaler", "negative-std",
          "no-trees", "knn-code-beyond-classes", "zero-variance", "negative-variance",
-         "ridge-one-weight-row", "two-centroids-for-three-classes", "short-knn-codes"],
+         "ridge-one-weight-row", "two-centroids-for-three-classes", "short-knn-codes",
+         "knn-row-beyond-float", "ridge-weight-beyond-float"],
 )
 def test_model_file_with_inconsistent_state_is_model_error(
     name, edit, message, synth_csv, tmp_path, capsys

@@ -36,10 +36,12 @@ class KNNModel(Classifier):
     def _prepare_lookup(self):
         # One GEMM per query block computes -2*q.b + ||b||^2, which ranks
         # neighbors identically to the full squared distance (the ||q||^2
-        # term is constant per row).
+        # term is constant per row). A row beyond about 1.3e154 squares to
+        # inf; _nearest ranks its inf and NaN distances last.
         train = self.train_rows_
-        train_sq = np.einsum("ij,ij->i", train, train)
-        self._neighbor_basis = np.hstack([-2.0 * train, train_sq[:, None]]).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_sq = np.einsum("ij,ij->i", train, train)
+            self._neighbor_basis = np.hstack([-2.0 * train, train_sq[:, None]]).T
 
     def _scores(self, X):
         n_classes = self.classes_.size
@@ -86,6 +88,8 @@ class KNNModel(Classifier):
         if not np.isin(self.train_codes_, np.arange(self.classes_.size)).all():
             raise ValueError(f"train_codes must lie in 0..{self.classes_.size - 1}")
         self._prepare_lookup()
+        if not np.isfinite(self._neighbor_basis).all():
+            raise ValueError("train_rows must square to finite numbers")
 
     def _check_k(self, n_train):
         if self.k > n_train:

@@ -14,7 +14,7 @@ from flowbench.classifiers.registry import MODEL_CLASSES
 from flowbench.features import CATEGORICAL_COLUMNS, FEATURE_COLUMNS, Scaler
 from flowbench.flow_data import MAX_EXACT_INTEGER, ThreatClass
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class ModelFormatError(ValueError):
@@ -61,6 +61,7 @@ def load_model(path) -> ModelArtifact:
         # digit limit for int().
         raise ModelFormatError(f"not a UTF-8 JSON document: {exc}") from None
     except RecursionError:
+        # json.loads recurses once per nesting level of arrays and objects.
         raise ModelFormatError("the document nests too deeply to decode") from None
     if not isinstance(document, dict):
         raise ModelFormatError("the document is not a JSON object")
@@ -68,7 +69,7 @@ def load_model(path) -> ModelArtifact:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format_version: {version!r}")
     name = document.get("model")
-    if name not in MODEL_CLASSES:
+    if not isinstance(name, str) or name not in MODEL_CLASSES:
         raise ModelFormatError(f"unknown model name in file: {name!r}")
     try:
         model = MODEL_CLASSES[name](**document["hyperparameters"])
@@ -79,9 +80,8 @@ def load_model(path) -> ModelArtifact:
             encoders=_checked_encoders(document["encoders"]),
             scaler=_checked_scaler(document.get("scaler"), model.n_features_),
         )
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # OverflowError: an integer beyond float64's range in a float array.
-        # RecursionError: TreeNode.from_dict recurses once per tree level.
         raise ModelFormatError(f"malformed model document: {exc}") from exc
 
 

@@ -18,12 +18,20 @@ lowest weighted child Gini; ties resolve to the lowest feature index, then
 the lowest threshold. Admissibility of the winner is decided in exact integer
 arithmetic so zero-gain splits are kept (both children still shrink) and
 float rounding can never turn a valid split into a leaf.
+
+A fitted tree is a `Tree`: parallel arrays with one entry per node (feature,
+threshold, left and right child, class fractions), numbered in the order the
+fit created the nodes, as in scikit-learn's `Tree` (Louppe, Understanding
+Random Forests, 2014, ch. 5). The grower records each group's new nodes and
+splits as arrays and lays every tree out once growth ends, so a fit makes no
+Python object per node, scoring routes row sets by array lookups, and a model
+file stores each field as one flat JSON array, however deep the tree.
+`TreeNode` is a read-only view of one node for code that walks a tree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,43 +45,64 @@ def gini(dist) -> float:
     return float(1.0 - np.dot(p, p))
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (class distribution).
+LEAF = -1  # the feature, left and right of a leaf
 
-    Rows route left iff row[feature] <= threshold.
+
+class Tree(NamedTuple):
+    """One fitted tree as parallel arrays, one entry per node.
+
+    Nodes are numbered in the order the fit created them. Node 0 is the root,
+    and a node's children come after it. An internal node sends a row to
+    `left` when row[feature] <= threshold, else to `right`. A leaf holds LEAF
+    in feature, left and right, a threshold of 0.0, and in `value` the class
+    fractions of the training rows that reached it; an internal node's value
+    row is zero.
     """
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    dist: np.ndarray | None = None
+    feature: np.ndarray  # int32
+    threshold: np.ndarray  # float64
+    left: np.ndarray  # int32
+    right: np.ndarray  # int32
+    value: np.ndarray  # float64, one row of k class fractions per node
+
+
+class TreeNode(NamedTuple):
+    """Read-only view of one node of a Tree, for code that walks a tree node by node.
+
+    The models read the arrays; nothing stores a view but the root views of
+    `DecisionTreeModel.trees_`. A leaf's `left` and `right` are None.
+    """
+
+    tree: Tree
+    node: int = 0
 
     @property
     def is_leaf(self) -> bool:
-        return self.dist is not None
+        return bool(self.tree.left[self.node] == LEAF)
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"dist": self.dist.tolist()}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
+    @property
+    def feature(self) -> int:
+        return int(self.tree.feature[self.node])
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TreeNode":
-        if "dist" in doc:
-            return cls(dist=np.asarray(doc["dist"], dtype=np.float64))
-        return cls(
-            feature=int(doc["feature"]),
-            threshold=float(doc["threshold"]),
-            left=cls.from_dict(doc["left"]),
-            right=cls.from_dict(doc["right"]),
-        )
+    @property
+    def threshold(self) -> float:
+        return float(self.tree.threshold[self.node])
+
+    @property
+    def left(self) -> "TreeNode | None":
+        return self._child(self.tree.left)
+
+    @property
+    def right(self) -> "TreeNode | None":
+        return self._child(self.tree.right)
+
+    @property
+    def dist(self) -> np.ndarray:
+        return self.tree.value[self.node]
+
+    def _child(self, children) -> "TreeNode | None":
+        child = int(children[self.node])
+        return None if child == LEAF else TreeNode(self.tree, child)
 
 
 # Upper bound on the (node row, candidate feature) pairs scored in one group;
@@ -90,8 +119,8 @@ def build_tree(
     max_features: int | None = None,
     rngs: list[np.random.Generator] | None = None,
     bootstrap: bool = False,
-) -> list[TreeNode]:
-    """Grow CART trees on dense class codes y in [0, n_classes); return their roots.
+) -> list[Tree]:
+    """Grow CART trees on dense class codes y in [0, n_classes).
 
     Grows one tree per generator in `rngs`, or a single tree when `rngs` is
     None. With `bootstrap`, tree i first draws its rows with
@@ -103,9 +132,8 @@ def build_tree(
     random feature subset at every split (requires rngs).
     """
     n, d = X.shape
-    grower = _Grower(X, y, n_classes, splitter)
     rngs = [None] if rngs is None else list(rngs)
-    roots = [TreeNode() for _ in rngs]
+    grower = _Grower(X, y, n_classes, splitter, len(rngs))
     stacks = [[] for _ in rngs]
     every_row = np.arange(n, dtype=grower.row_dtype)  # read-only, so roots share it
     samples = [
@@ -113,8 +141,9 @@ def build_tree(
         for rng in rngs
     ]
     counts = np.array([np.bincount(grower.y[rows], minlength=n_classes) for rows in samples])
-    for i in grower.growing(roots, counts):
-        stacks[i].append((roots[i], samples[i], counts[i]))
+    roots = np.arange(len(rngs), dtype=np.int32)
+    for i in grower.growing(roots, np.zeros_like(roots), counts):
+        stacks[i].append((i, 0, samples[i], counts[i]))
     subset = max_features is not None and max_features < d
     every_feature = np.arange(d)
     while True:
@@ -128,12 +157,12 @@ def build_tree(
                     features = every_feature
                 step.append(_Pending(*stack.pop(), features, rng, stack))
         if not step:
-            return roots
+            return grower.trees()
         for group in _groups(step):
             grower.split(group)
 
 
-def tree_scores(root: TreeNode, X: np.ndarray, n_classes: int) -> np.ndarray:
+def tree_scores(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Route rows to leaves; one class distribution per row.
 
     Each split reads its feature's column, so a Fortran-order X routes fastest.
@@ -141,28 +170,28 @@ def tree_scores(root: TreeNode, X: np.ndarray, n_classes: int) -> np.ndarray:
     with no pattern, `idx[mask]` mispredicts a branch per element and costs
     several times as much.
     """
-    leaves = []
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
     leaf_of = np.empty(X.shape[0], dtype=np.intp)
-    stack = [(root, np.arange(X.shape[0]))]
+    stack = [(0, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
             continue
-        if node.is_leaf:
-            leaf_of[idx] = len(leaves)
-            leaves.append(node.dist)
+        if left[node] == LEAF:
+            leaf_of[idx] = node
             continue
-        go_left = X[:, node.feature].take(idx) <= node.threshold
-        stack.append((node.left, idx.compress(go_left)))
-        stack.append((node.right, idx.compress(~go_left)))
-    dists = np.array(leaves, dtype=np.float64).reshape(len(leaves), n_classes)
-    return dists.take(leaf_of, axis=0)
+        go_left = X[:, feature[node]].take(idx) <= threshold[node]
+        stack.append((left[node], idx.compress(go_left)))
+        stack.append((right[node], idx.compress(~go_left)))
+    return tree.value.take(leaf_of, axis=0)
 
 
 class _Pending(NamedTuple):
     """A node waiting for its split search."""
 
-    node: TreeNode
+    tree: int  # the tree's position in the fit
+    node: int  # the node's number in its tree
     rows: np.ndarray  # original row numbers, repeated as the bootstrap drew them
     counts: np.ndarray  # class counts of those rows
     features: np.ndarray  # candidate features, ascending
@@ -206,10 +235,17 @@ class _Grower:
     Each candidate generator takes a group's pairs and returns parallel
     arrays, ordered by pair and then by threshold: the candidate's pair, its
     threshold, and the class counts of the rows it sends left.
+
+    Nodes are recorded a group at a time, as arrays: `created` holds each
+    new node's tree, number and class fractions, `splits` each split node's
+    tree, number, feature, threshold and left child. `trees` lays them out.
     """
 
-    def __init__(self, X, y, n_classes, splitter):
+    def __init__(self, X, y, n_classes, splitter, n_trees):
         self.n, d = X.shape
+        self.size = np.ones(n_trees, dtype=np.int32)  # nodes numbered per tree, roots first
+        self.created = []
+        self.splits = []
         self.columns = np.ascontiguousarray(X.T)
         self.y = np.asarray(y)
         self.k = n_classes
@@ -240,17 +276,15 @@ class _Grower:
                 unit[classes] = 1 << shifts
                 self.count_words.append((classes, shifts, unit))
 
-    def growing(self, nodes, counts) -> list[int]:
-        """Make each pure node a leaf; return the others' indices."""
+    def growing(self, trees, nodes, counts) -> list[int]:
+        """Record node nodes[i] of tree trees[i], whose rows have class counts
+        counts[i]; return the positions of the nodes that are not pure."""
         sizes = counts.sum(axis=1)
-        leaf = counts.max(axis=1) == sizes
-        dists = counts / sizes[:, None]
-        for i in leaf.nonzero()[0].tolist():
-            nodes[i].dist = dists[i].copy()
-        return (~leaf).nonzero()[0].tolist()
+        self.created.append((trees, nodes, counts / sizes[:, None]))
+        return (counts.max(axis=1) != sizes).nonzero()[0].tolist()
 
     def split(self, group: list[_Pending]) -> None:
-        """Split each node of a group at its best admissible candidate, or make it a leaf."""
+        """Split each node of a group at its best admissible candidate; the rest stay leaves."""
         pairs = self._pairs(group)
         if self.random:
             candidates, thresholds, left = self._drawn_candidates(group, pairs)
@@ -258,8 +292,6 @@ class _Grower:
             candidates, thresholds, left = self._midpoint_candidates(pairs)
         counts = np.concatenate([pending.counts for pending in group]).reshape(-1, self.k)
         won, best = _winners(pairs.node[candidates], left, counts)
-        for i in set(range(len(group))).difference(won):
-            group[i].node.dist = counts[i] / group[i].rows.size
         if won:
             split = [group[i] for i in won]
             features = pairs.feature[candidates[best]]
@@ -267,13 +299,11 @@ class _Grower:
 
     def _branch(self, split, features, thresholds, counts, left):
         """Give each split node its children; grow them or make them leaves."""
-        children = []
-        for pending, feature, threshold in zip(split, features.tolist(), thresholds.tolist()):
-            node = pending.node
-            node.feature, node.threshold = feature, threshold
-            node.left, node.right = TreeNode(), TreeNode()
-            children.append(node.right)
-        children += [pending.node.left for pending in split]
+        trees = np.array([pending.tree for pending in split], dtype=np.int32)
+        lefts = self.size[trees]
+        self.size[trees] += 2
+        nodes = np.array([pending.node for pending in split], dtype=np.int32)
+        self.splits.append((trees, nodes, features.astype(np.int32), thresholds, lefts))
         rows = np.concatenate([pending.rows for pending in split])
         sizes = counts.sum(axis=1)
         cells = (features * self.n).repeat(sizes)
@@ -283,10 +313,35 @@ class _Grower:
         # left child next. A growing child gets its own copy of its rows.
         child_counts = np.concatenate([counts - left, left])
         child_rows = np.concatenate([rows.compress(~go_left), rows.compress(go_left)])
+        children = np.concatenate([lefts + 1, lefts])
         stops = child_counts.sum(axis=1).cumsum().tolist()
-        for j in self.growing(children, child_counts):
+        for j in self.growing(np.tile(trees, 2), children, child_counts):
             own = child_rows[stops[j - 1] if j else 0 : stops[j]].copy()
-            split[j % len(split)].stack.append((children[j], own, child_counts[j]))
+            pending = split[j % len(split)]
+            pending.stack.append((pending.tree, int(children[j]), own, child_counts[j]))
+
+    def trees(self) -> list[Tree]:
+        """The grown trees, each laid out as its arrays."""
+        offsets = np.concatenate(([0], self.size.cumsum()))
+        total = int(offsets[-1])
+        value = np.empty((total, self.k))
+        feature = np.full(total, LEAF, dtype=np.int32)
+        threshold = np.zeros(total)
+        left, right = feature.copy(), feature.copy()
+        # Each record is dropped once copied, so no node is held twice over.
+        while self.created:
+            trees, nodes, values = self.created.pop()
+            value[offsets[trees] + nodes] = values
+        while self.splits:
+            trees, nodes, features, thresholds, lefts = self.splits.pop()
+            at = offsets[trees] + nodes
+            feature[at], threshold[at], left[at], right[at] = features, thresholds, lefts, lefts + 1
+            value[at] = 0.0
+        bounds = offsets.tolist()
+        return [
+            Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
+            for a, b in zip(bounds, bounds[1:])
+        ]
 
     def _pairs(self, group: list[_Pending]) -> _Pairs:
         sizes = np.array([pending.rows.size for pending in group])
@@ -419,6 +474,9 @@ class DecisionTreeModel(Classifier):
     and features. Every tree grows until its leaves are pure or no split
     lowers its weighted Gini. These settings are class constants: each model
     runs at fixed defaults.
+
+    `trees_` holds a root view of each tree; a model file stores each Tree
+    field as one JSON array per tree, `value` flattened node after node.
     """
 
     name = "decision_tree"
@@ -438,7 +496,7 @@ class DecisionTreeModel(Classifier):
         return min(d, math.isqrt(d - 1) + 1 if d > 1 else 1)
 
     def _fit(self, X, codes):
-        self.trees_ = build_tree(
+        trees = build_tree(
             X,
             codes,
             self.classes_.size,
@@ -447,23 +505,70 @@ class DecisionTreeModel(Classifier):
             rngs=[np.random.default_rng([self.seed, i]) for i in range(self.n_trees)],
             bootstrap=self.bootstrap,
         )
+        self.trees_ = [TreeNode(tree) for tree in trees]
 
     def _scores(self, X):
-        k = self.classes_.size
         X = np.asfortranarray(X)
-        total = np.zeros((X.shape[0], k), dtype=np.float64)
+        total = np.zeros((X.shape[0], self.classes_.size), dtype=np.float64)
         for root in self.trees_:
-            total += tree_scores(root, X, k)
+            total += tree_scores(root.tree, X)
         return total / len(self.trees_)
 
     def _state(self):
-        return {"trees": [root.to_dict() for root in self.trees_]}
+        return {
+            "trees": [
+                {field: array.ravel().tolist() for field, array in root.tree._asdict().items()}
+                for root in self.trees_
+            ]
+        }
 
     def _load_state(self, state):
         docs = state["trees"]
         if len(docs) != self.n_trees:
             raise ValueError(f"expected {self.n_trees} trees, found {len(docs)}")
-        self.trees_ = [TreeNode.from_dict(doc) for doc in docs]
+        k, d = self.classes_.size, self.n_features_
+        self.trees_ = [TreeNode(_loaded_tree(doc, i, k, d)) for i, doc in enumerate(docs)]
+
+
+def _loaded_tree(doc: dict, i: int, k: int, d: int) -> Tree:
+    """Tree i of a model file, when its arrays describe one tree of k classes over d features."""
+    arrays = []
+    for field, kinds in (("feature", "i"), ("threshold", "if"), ("left", "i"), ("right", "i"),
+                         ("value", "if")):
+        array = np.asarray(doc[field])
+        if array.ndim != 1 or array.dtype.kind not in kinds:
+            kind = "integers" if kinds == "i" else "numbers"
+            raise ValueError(f"tree {i}: {field} must be a list of {kind}")
+        arrays.append(array)
+    feature, threshold, left, right, value = arrays
+    n = feature.size
+    if not (n and threshold.size == left.size == right.size == n and value.size == n * k):
+        raise ValueError(
+            f"tree {i}: feature, threshold, left and right must hold one entry per node,"
+            f" and value {k} per node"
+        )
+    leaf = left == LEAF
+    if not ((feature == LEAF) == leaf).all() or not ((right == LEAF) == leaf).all():
+        raise ValueError(f"tree {i}: a leaf must hold {LEAF} in feature, left and right")
+    parents = (~leaf).nonzero()[0]
+    children = np.concatenate([left[parents], right[parents]])
+    if not ((children > np.tile(parents, 2)) & (children < n)).all():
+        raise ValueError(f"tree {i}: child indices must point forward within the tree")
+    if not (np.bincount(children, minlength=n)[1:] == 1).all():
+        raise ValueError(f"tree {i}: every node but the root must be the child of one node")
+    if not ((feature[parents] >= 0) & (feature[parents] < d)).all():
+        raise ValueError(f"tree {i}: features must lie in 0..{d - 1}")
+    if not np.isfinite(threshold).all():
+        raise ValueError(f"tree {i}: thresholds must be finite")
+    if not ((value >= 0) & (value <= 1)).all():
+        raise ValueError(f"tree {i}: value must hold {k} class fractions in [0, 1] per node")
+    return Tree(
+        feature.astype(np.int32),
+        threshold.astype(np.float64),
+        left.astype(np.int32),
+        right.astype(np.int32),
+        value.astype(np.float64).reshape(n, k),
+    )
 
 
 class SeededTreeModel(DecisionTreeModel):

@@ -359,8 +359,9 @@ def test_model_file_with_an_integer_beyond_the_digit_limit_is_model_error(
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 @pytest.mark.parametrize(
     "name, path",
-    [("knn", ("state", "train_rows", 0, 0)), ("ridge", ("state", "weights", 0, 0))],
-    ids=["knn", "ridge"],
+    [("knn", ("state", "train_rows", 0, 0)), ("ridge", ("state", "weights", 0, 0)),
+     ("decision_tree", ("state", "trees", 0, "threshold", 0))],
+    ids=["knn", "ridge", "tree-threshold"],
 )
 def test_model_file_with_a_non_finite_number_is_model_error(
     name, path, literal, synth_csv, tmp_path, capsys
@@ -412,13 +413,34 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
          "train_codes must have shape (m) = "),
         ("knn", lambda doc: doc["state"]["train_rows"][0].__setitem__(0, 10**400),
          "int too large to convert to float"),
+        ("knn", lambda doc: doc["state"]["train_rows"][0].__setitem__(0, 1e200),
+         "train_rows must square to finite numbers"),
         ("ridge", lambda doc: doc["state"]["weights"][0].__setitem__(0, -(10**400)),
          "int too large to convert to float"),
+        ("decision_tree", lambda doc: doc["state"]["trees"][0]["left"].__setitem__(0, 0),
+         "tree 0: child indices must point forward within the tree"),
+        ("decision_tree",
+         lambda doc: doc["state"]["trees"][0]["right"].__setitem__(
+             0, len(doc["state"]["trees"][0]["right"])),
+         "tree 0: child indices must point forward within the tree"),
+        ("decision_tree", lambda doc: doc["state"]["trees"][0]["feature"].__setitem__(0, 13),
+         "tree 0: features must lie in 0..12"),
+        ("decision_tree", lambda doc: doc["state"]["trees"][0]["feature"].__setitem__(0, -2),
+         "tree 0: features must lie in 0..12"),
+        ("decision_tree", lambda doc: doc["state"]["trees"][0]["value"].__setitem__(-1, -0.5),
+         "tree 0: value must hold 3 class fractions in [0, 1] per node"),
+        ("decision_tree", lambda doc: doc["state"]["trees"][0]["threshold"].pop(),
+         "tree 0: feature, threshold, left and right must hold one entry per node"),
+        ("random_forest", lambda doc: doc["state"]["trees"].pop(),
+         "expected 100 trees, found 99"),
     ],
     ids=["unknown-class", "decreasing-classes", "short-scaler", "negative-std",
          "no-trees", "knn-code-beyond-classes", "zero-variance", "negative-variance",
          "ridge-one-weight-row", "two-centroids-for-three-classes", "short-knn-codes",
-         "knn-row-beyond-float", "ridge-weight-beyond-float"],
+         "knn-row-beyond-float", "knn-row-beyond-square", "ridge-weight-beyond-float",
+         "tree-child-backwards", "tree-child-beyond-end", "tree-feature-beyond-width",
+         "tree-negative-feature", "tree-negative-value", "tree-short-threshold",
+         "forest-99-trees"],
 )
 def test_model_file_with_inconsistent_state_is_model_error(
     name, edit, message, synth_csv, tmp_path, capsys
@@ -435,6 +457,27 @@ def test_model_file_with_inconsistent_state_is_model_error(
     err = capsys.readouterr().err
     assert err.startswith("model error: malformed model document: ")
     assert message in err and err.count("\n") == 1
+
+
+def test_tree_of_depth_3999_trains_saves_and_predicts(tmp_path, capsys):
+    # Alternating labels along one varying column: every split peels off one row.
+    template = "{},ICMP,A,WannaCry,6,1PyqNahY,1FusionX,976,18571,8317,A,SSH,8080,{}"
+    labels = ["A" if i % 2 else "S" for i in range(4_000)]
+    data = tmp_path / "alternating.csv"
+    data.write_bytes(csv_bytes(*(template.format(i, label) for i, label in enumerate(labels))))
+    model_file, predictions = tmp_path / "deep.json", tmp_path / "predictions.csv"
+    assert main(["train", "--data", str(data), "--model", "decision_tree",
+                 "--output", str(model_file)]) == EXIT_OK
+    assert main(["predict", "--data", str(data), "--model-file", str(model_file),
+                 "--output", str(predictions)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert [line.rsplit(",", 1)[1] for line in predictions.read_text().splitlines()[1:]] == labels
+    (tree,) = json.loads(model_file.read_text())["state"]["trees"]
+    depth = [0] * len(tree["left"])
+    for node, (left, right) in enumerate(zip(tree["left"], tree["right"])):
+        if left != -1:
+            depth[left] = depth[right] = depth[node] + 1
+    assert max(depth) == 3_999
 
 
 def test_synth_validates_arguments(tmp_path):

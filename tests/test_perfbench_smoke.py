@@ -6,15 +6,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+from flowbench import bench as bench_module
+from flowbench.bench import BenchOptions, run_benchmark
+from flowbench.classifiers import make_model
 from flowbench.cli import EXIT_OK, main
-from flowbench.flow_data import records_to_csv
+from flowbench.features import fit_transform, stratified_split
+from flowbench.flow_data import parse_dataset, records_to_csv
 from flowbench.synth import generate_records
 
 ROOT = Path(__file__).resolve().parents[1]
 TREE_MODELS = ["decision_tree", "extra_tree", "bagging", "random_forest", "extra_trees"]
 
 
-def test_traced_bench_reports_spans_and_tree_stats(tmp_path):
+def array_stats(model) -> dict:
+    """Node count and deepest leaf over a tree model's trees, read from their arrays."""
+    nodes = depth = 0
+    for root in model.trees_:
+        tree = root.tree
+        level = [0] * tree.left.size
+        for node, (left, right) in enumerate(zip(tree.left.tolist(), tree.right.tolist())):
+            if left != -1:
+                level[left] = level[right] = level[node] + 1
+        nodes += len(level)
+        depth = max(depth, *level)
+    return {"nodes": nodes, "depth": depth}
+
+
+def test_traced_bench_reports_spans_and_tree_stats(tmp_path, monkeypatch):
     data = tmp_path / "data.csv"
     data.write_text(records_to_csv(generate_records(150, seed=7, signal_strength=0.9)))
     spans = tmp_path / "spans.json"
@@ -34,9 +52,22 @@ def test_traced_bench_reports_spans_and_tree_stats(tmp_path):
     assert document["spans"]
     names = {span["name"] for span in document["spans"]}
     assert {"classifiers.tree.build_tree", "classifiers.tree.tree_scores"} <= names
+    # The harness walks node views; the same fits, read from their arrays, agree.
+    fitted = {}
+
+    def recording_make_model(name, **kwargs):
+        fitted[name] = make_model(name, **kwargs)
+        return fitted[name]
+
+    monkeypatch.setattr(bench_module, "make_model", recording_make_model)
+    options = BenchOptions()
+    matrix = fit_transform(parse_dataset(data), scale=True)
+    plan = stratified_split(matrix.labels, options.test_fraction, options.seed)
+    run_benchmark(matrix, plan, TREE_MODELS, options)
     for name in TREE_MODELS:
         stats = document["tree_stats"][name]
         assert stats["nodes"] >= 3 and stats["depth"] >= 1
+        assert stats == array_stats(fitted[name])
     # Every tree model, ensembles included, grows all of a fit's trees in one call.
     fits = {
         span["id"]: span["attrs"]["model"]

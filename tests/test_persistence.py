@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowbench.classifiers import (
+    FORMAT_VERSION,
     MODEL_NAMES,
     ModelFormatError,
     load_model,
@@ -59,9 +60,10 @@ def test_round_trip_reproduces_predictions_exactly(name, trained_setup, tmp_path
 
 
 def test_unknown_format_version_rejected(tmp_path):
-    # Format 1 files also stored each model's tunable hyperparameters.
+    # Format 1 files also stored each model's tunable hyperparameters, and
+    # format 2 files stored each tree as nested node objects.
     path = tmp_path / "model.json"
-    for version in (1, 3):
+    for version in (1, 2, 4):
         path.write_text(json.dumps({"format_version": version, "model": "dummy"}))
         with pytest.raises(
             ModelFormatError, match=f"^unsupported model format_version: {version}$"
@@ -71,7 +73,7 @@ def test_unknown_format_version_rejected(tmp_path):
 
 def test_unknown_model_name_rejected(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"format_version": 2, "model": "mystery"}))
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION, "model": "mystery"}))
     with pytest.raises(ModelFormatError, match="unknown model"):
         load_model(path)
 

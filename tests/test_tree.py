@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def random_root_split(X, y, n_classes, rng):
         if best is None or weighted < best[0]:
             best = (weighted, f, threshold)
     return best
+
+
+def as_dict(node: TreeNode) -> dict:
+    """A fitted tree in the layout of `ReferenceNode.to_dict`, walked through its views."""
+    if node.is_leaf:
+        return {"dist": node.dist.tolist()}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": as_dict(node.left),
+        "right": as_dict(node.right),
+    }
 
 
 # Two rows whose midpoint, (2**52 + 1 + 2**52 + 2) / 2, rounds onto the upper
@@ -191,7 +204,7 @@ def test_tree_fit_is_bit_identical_across_runs(rng):
     y = rng.integers(0, 3, size=60)
     a = DecisionTreeModel().fit(X, y)
     b = DecisionTreeModel().fit(X, y)
-    assert json.dumps(a.trees_[0].to_dict()) == json.dumps(b.trees_[0].to_dict())
+    assert json.dumps(as_dict(a.trees_[0])) == json.dumps(as_dict(b.trees_[0]))
 
 
 def test_prediction_equals_routed_leaf_argmax():
@@ -239,11 +252,11 @@ def test_tree_scores_match_row_by_row_routing(rng):
             for rows in (probe, on_threshold, right_only):
                 expected = _routed_dists(root, rows)
                 for layout in (rows, np.asfortranarray(rows)):
-                    assert np.array_equal(tree_scores(root, layout, 3), expected)
+                    assert np.array_equal(tree_scores(root.tree, layout), expected)
             total += _routed_dists(root, probe)
         assert np.array_equal(model.predict_scores(probe), total / len(model.trees_))
     assert (model.predict_scores(repeated).max(axis=1) < 1.0).any()
-    assert tree_scores(model.trees_[0], probe[:0], 3).shape == (0, 3)
+    assert tree_scores(model.trees_[0].tree, probe[:0]).shape == (0, 3)
 
 
 def test_midpoint_rounding_onto_upper_value_still_splits():
@@ -287,7 +300,7 @@ def test_extra_tree_same_seed_same_tree():
     y = rng.integers(0, 3, size=50)
     a = ExtraTreeModel(seed=11).fit(X, y)
     b = ExtraTreeModel(seed=11).fit(X, y)
-    assert json.dumps(a.trees_[0].to_dict()) == json.dumps(b.trees_[0].to_dict())
+    assert json.dumps(as_dict(a.trees_[0])) == json.dumps(as_dict(b.trees_[0]))
     c = ExtraTreeModel(seed=12).fit(X, y)
     assert np.array_equal(a.predict(X), b.predict(X))
     assert c.trees_ is not None  # different seed still fits
@@ -316,7 +329,7 @@ def test_extra_tree_draws_from_its_seed_alone(seed):
     y = rng.integers(0, 3, size=60)
     model = ExtraTreeModel(seed=seed).fit(X, y)
     direct = build_tree(X, y, 3, splitter="random", rngs=[np.random.default_rng(seed)])[0]
-    assert model.trees_[0].to_dict() == direct.to_dict()
+    assert as_dict(model.trees_[0]) == as_dict(TreeNode(direct))
 
 
 def test_random_root_split_matches_scalar_draws(rng):
@@ -349,8 +362,30 @@ def test_leaf_distributions_sum_to_one(rng):
 # lockstep growth against the per-tree grower ---------------------------------
 #
 # The grower below is the depth-first, one-tree-at-a-time CART that built
-# every tree before the trees of a fit grew in lockstep, kept verbatim. Every
-# tree of every model must come out bit-identical to it.
+# every tree before the trees of a fit grew in lockstep, kept verbatim but
+# for its node class, the node graph that trees were stored as before they
+# became arrays. Every tree of every model must come out bit-identical to it.
+
+
+@dataclass
+class ReferenceNode:
+    """Internal node (feature, threshold, children) or leaf (class distribution)."""
+
+    feature: int | None = None
+    threshold: float | None = None
+    left: "ReferenceNode | None" = None
+    right: "ReferenceNode | None" = None
+    dist: np.ndarray | None = None
+
+    def to_dict(self) -> dict:
+        if self.dist is not None:
+            return {"dist": self.dist.tolist()}
+        return {
+            "feature": self.feature,
+            "threshold": self.threshold,
+            "left": self.left.to_dict(),
+            "right": self.right.to_dict(),
+        }
 
 
 def _reference_build_tree(
@@ -360,7 +395,7 @@ def _reference_build_tree(
     n, d = X.shape
     columns = np.ascontiguousarray(X.T)
     onehot = np.eye(n_classes, dtype=np.int64)[y]
-    root = TreeNode()
+    root = ReferenceNode()
     stack = [(root, np.arange(n), 0)]
     while stack:
         node, idx, depth = stack.pop()
@@ -392,8 +427,8 @@ def _reference_build_tree(
 
         row, node.threshold = found
         node.feature = int(feature_ids[row])
-        node.left = TreeNode()
-        node.right = TreeNode()
+        node.left = ReferenceNode()
+        node.right = ReferenceNode()
         go_left = values[row] <= node.threshold
         stack.append((node.right, idx[~go_left], depth + 1))
         stack.append((node.left, idx[go_left], depth + 1))
@@ -479,7 +514,7 @@ def _reference_trees(model, X, y):
 def _assert_matches_reference(model, X, y):
     expected = _reference_trees(model, X, y)
     model.fit(X, y)
-    assert [root.to_dict() for root in model.trees_] == expected
+    assert [as_dict(root) for root in model.trees_] == expected
 
 
 def _random_problem(rng):
@@ -515,14 +550,14 @@ def _random_tree_settings(rng, name):
 def _assert_build_tree_matches_reference(settings, X, y):
     classes, codes = np.unique(y, return_inverse=True)
     expected = _reference_forest(X, codes, classes.size, **settings)
-    roots = build_tree(
+    trees = build_tree(
         X, codes, classes.size,
         splitter=settings["splitter"],
         max_features=settings["max_features"],
         rngs=[np.random.default_rng(seed) for seed in settings["seeds"]],
         bootstrap=settings["bootstrap"],
     )
-    assert [root.to_dict() for root in roots] == expected
+    assert [as_dict(TreeNode(tree)) for tree in trees] == expected
 
 
 EDGE_PROBLEMS = [
@@ -590,6 +625,6 @@ def test_tree_fits_are_identical_at_one_and_two_workers(monkeypatch):
     for workers in (1, 2):
         fits.clear()
         run_benchmark(matrix, plan, TREE_MODEL_NAMES, BenchOptions(workers=workers))
-        trees.append({name: [r.to_dict() for r in models[0].trees_] for name, models in fits.items()})
+        trees.append({name: [as_dict(r) for r in models[0].trees_] for name, models in fits.items()})
     assert trees[0] == trees[1]
     assert sorted(trees[0]) == sorted(TREE_MODEL_NAMES)

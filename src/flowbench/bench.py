@@ -3,15 +3,14 @@
 The headline leaderboard always comes from the holdout split; k-fold
 cross-validation is opt-in and attached per report. A model that fails to
 fit, on the holdout split or in a CV fold, becomes an error row instead of
-aborting the run. Models may be evaluated in parallel; ordering is by the
-sort rule, never completion order.
+aborting the run. Models are evaluated one after another, in the order
+named, and the leaderboard is ordered by the sort rule.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 from flowbench.classifiers import MODEL_NAMES, make_model, non_negative_int
@@ -66,7 +65,7 @@ class BenchOptions:
     seed: int = 42
     test_fraction: float = 0.2
     folds: int = 0  # 0 = holdout only; k >= 2 adds k-fold cross-validation
-    workers: int = 1
+    workers: int = 1  # must be at least 1; selects nothing until worker processes exist
 
     def __post_init__(self):
         non_negative_int(self.seed, "seed")
@@ -122,12 +121,7 @@ def run_benchmark(
             return EvalReport(model=name, status=f"error: {exc}")
         return report
 
-    if options.workers > 1:
-        with ThreadPoolExecutor(max_workers=options.workers) as pool:
-            reports = list(pool.map(evaluate, names))
-    else:
-        reports = [evaluate(name) for name in names]
-    reports.sort(key=_sort_key)
+    reports = sorted(map(evaluate, names), key=_sort_key)
     metadata = {
         "seed": options.seed,
         "test_fraction": options.test_fraction,

@@ -12,7 +12,7 @@ class NotFittedError(RuntimeError):
 
 
 def non_negative_int(value, name: str) -> int:
-    """The one rule of every seed and epoch cap: an int, not a bool, not negative."""
+    """The rule of every seed, epoch cap and feature count: an int, not a bool, not < 0."""
     if type(value) is not int or value < 0:
         raise ValueError(f"{name} must be a non-negative integer")
     return value
@@ -89,7 +89,7 @@ class Classifier:
 
     def set_state(self, state: dict) -> "Classifier":
         self.classes_ = np.asarray(state["classes"], dtype=np.int64)
-        self.n_features_ = int(state["n_features"])
+        self.n_features_ = non_negative_int(state["n_features"], "n_features")
         self._load_state(state)
         return self
 

@@ -13,6 +13,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from flowbench.bench import BenchOptions, render, resolve_model_names, run_benchmark
 from flowbench.classifiers import (
     ModelFormatError,
@@ -104,7 +106,8 @@ def build_parser() -> _Parser:
     add_data(p)
     add_split(p)
     p.add_argument("--folds", type=int, default=BenchOptions.folds, help="0 = holdout only")
-    p.add_argument("--workers", type=int, default=BenchOptions.workers)
+    p.add_argument("--workers", type=int, default=BenchOptions.workers,
+                   help="at least 1; every count evaluates the models in one loop today")
     p.add_argument("--models", default="all", help="comma-separated names or 'all'")
     add_output(p, ["table", "csv", "json"])
     p.set_defaults(handler=_cmd_bench)
@@ -262,10 +265,12 @@ def _cmd_predict(args) -> int:
     artifact = load_model(args.model_file)
     records = _load_records(args.data)
     rows = encode_records(records, artifact.encoders)
-    if artifact.model.needs_scaling and artifact.scaler is not None:
-        rows = artifact.scaler.apply(rows)
     try:
-        predicted = artifact.model.predict(rows)
+        # The cells are bounded integers, so a float error is the model file's.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if artifact.model.needs_scaling and artifact.scaler is not None:
+                rows = artifact.scaler.apply(rows)
+            predicted = artifact.model.predict(rows)
     except Exception as exc:
         raise _ModelError(str(exc)) from exc
     codes = predicted.tolist()

@@ -1,9 +1,11 @@
 import json
+import threading
 import time
 
 import numpy as np
 import pytest
 
+import flowbench.bench as bench_module
 from flowbench.bench import (
     BenchOptions,
     EvalReport,
@@ -13,7 +15,7 @@ from flowbench.bench import (
     run_benchmark,
     to_json_dict,
 )
-from flowbench.classifiers import ExtraTreeModel, RandomForestModel
+from flowbench.classifiers import ExtraTreeModel, RandomForestModel, make_model
 from flowbench.features import FeatureMatrix, fit_transform, stratified_split
 from flowbench.metrics import CVResult, accuracy, balanced_accuracy, confusion, f1
 from flowbench.synth import generate_records
@@ -156,6 +158,35 @@ def test_benchmark_deterministic_across_runs_and_workers(bench_setup):
         return json.dumps(doc)
 
     assert snapshot(1) == snapshot(1) == snapshot(4)
+
+
+def test_four_workers_start_no_thread_and_match_one_worker(bench_setup, monkeypatch):
+    matrix, plan = bench_setup
+    fit_threads = []
+
+    def recording_make_model(name, **kwargs):
+        model = make_model(name, **kwargs)
+        fit = model.fit
+
+        def recording_fit(X, y):
+            fit_threads.append((threading.current_thread(), threading.active_count()))
+            return fit(X, y)
+
+        model.fit = recording_fit
+        return model
+
+    monkeypatch.setattr(bench_module, "make_model", recording_make_model)
+    threads_before = threading.active_count()
+    boards = [
+        to_json_dict(run_benchmark(matrix, plan, FAST_MODELS, BenchOptions(workers=workers)))
+        for workers in (4, 1)
+    ]
+    assert len(fit_threads) == 2 * len(FAST_MODELS)
+    assert set(fit_threads) == {(threading.main_thread(), threads_before)}
+    for board in boards:
+        for report in board["reports"]:
+            report.pop("time_taken_s")
+    assert boards[0] == boards[1]
 
 
 def test_cv_attached_when_folds_requested(bench_setup):

@@ -370,6 +370,13 @@ def test_model_file_with_a_non_finite_number_is_model_error(
     assert err == f"model error: non-finite number in the document: {literal}\n"
 
 
+def test_model_file_whose_scores_overflow_is_model_error(synth_csv, tmp_path, capsys):
+    # Finite on load; squaring a row's distance to the mean overflows.
+    err = _predict_with_literal("gaussian_nb", ("state", "means", 0, 0), "1e200",
+                                synth_csv, tmp_path, capsys)
+    assert err == "model error: overflow encountered in multiply\n"
+
+
 def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, capsys):
     model_file = tmp_path / "model.json"
     assert main(["train", "--data", str(synth_csv), "--model", "knn",
@@ -433,6 +440,8 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
          "tree 0: feature, threshold, left and right must hold one entry per node"),
         ("random_forest", lambda doc: doc["state"]["trees"].pop(),
          "expected 100 trees, found 99"),
+        *(("decision_tree", lambda doc, value=value: doc["state"].update(n_features=value),
+           "n_features must be a non-negative integer") for value in ("13", " 13 ", 13.9, True)),
     ],
     ids=["unknown-class", "decreasing-classes", "short-scaler", "negative-std",
          "no-trees", "knn-code-beyond-classes", "zero-variance", "negative-variance",
@@ -440,7 +449,8 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
          "knn-row-beyond-float", "knn-row-beyond-square", "ridge-weight-beyond-float",
          "tree-child-backwards", "tree-child-beyond-end", "tree-feature-beyond-width",
          "tree-negative-feature", "tree-negative-value", "tree-short-threshold",
-         "forest-99-trees"],
+         "forest-99-trees", "n-features-string", "n-features-padded-string",
+         "n-features-float", "n-features-bool"],
 )
 def test_model_file_with_inconsistent_state_is_model_error(
     name, edit, message, synth_csv, tmp_path, capsys

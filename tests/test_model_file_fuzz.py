@@ -1,15 +1,23 @@
-"""Property-based fuzzing of saved tree model files: predict exits 0 or 3.
+"""Property-based fuzzing of saved model files: predict exits 0 or 3.
 
-Hypothesis edits saved decision_tree and random_forest files: it deletes
-keys, changes types, truncates or reshapes the tree arrays, points children
-backwards or out of range, and sets numbers to huge, negative or boolean
-values. `predict` must then either exit 0 and write one valid line per row,
-or exit 3 with a one-line message; it never exits 1 or 2, and never prints a
+Hypothesis edits saved files of all 14 models. Each edit picks a section of
+the file (the fitted state, the scaler, the encoders or the hyperparameters
+`seed` and `max_epochs`), then one object or array in it, down to a tree's
+arrays or a matrix row. It deletes or adds keys, changes types, truncates,
+extends or reshapes arrays, points indices backwards or out of range, and
+sets numbers and codes to huge, negative, fractional or boolean values.
+A sweep also sets the first number of every fitted array, of tree 0's arrays
+and of the scaler to each of a few extreme magnitudes, which random edits
+rarely reach.
+
+`predict` must then either exit 0 and write one valid line per row, or exit
+3 with a one-line message; it never exits 1 or 2, and never prints a
 traceback or a warning. The run is derandomized and keeps no example
 database, so it is the same on every machine.
 """
 
 import contextlib
+import copy
 import io
 import json
 import warnings
@@ -20,27 +28,29 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flowbench.classifiers import MODEL_NAMES
 from flowbench.cli import EXIT_MODEL, EXIT_OK, main
 from flowbench.flow_data import CLASS_TOKENS, records_to_csv
 from flowbench.synth import generate_records
 
-MODELS = ("decision_tree", "random_forest")
 ROWS = 60
-FIELDS = ("feature", "threshold", "left", "right", "value")
+# The state twice: it holds most of a file's arrays.
+SECTIONS = ("state", "state", "scaler", "encoders", "hyperparameters")
 ODD = st.sampled_from([
-    None, True, False, "x", "", [], {}, [[0]], {"a": 1}, 0, 1, -1, -2, 0.5, -0.5, 1.5,
-    12, 13, 2**31, 2**63, 10**400, 1e200, -1e308,
-])
+    None, True, False, "x", "", "13", [], {}, [[0]], {"a": 1}, 0, 1, -1, -2, 0.5, -0.5,
+    1.5, 12, 13, 2**31, 2**63, 10**400, 1e200, -1e308,
+]).map(copy.deepcopy)  # a later edit must not change the list's own [] or {}
+EXTREMES = (1e200, -1e308, 1e-300)
 
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     """The flows file and the text of each model's file trained on it."""
-    folder = tmp_path_factory.mktemp("tree-files")
+    folder = tmp_path_factory.mktemp("model-files")
     data = folder / "flows.csv"
     data.write_text(records_to_csv(generate_records(ROWS, seed=4, signal_strength=0.7)))
     texts = {}
-    for name in MODELS:
+    for name in MODEL_NAMES:
         path = folder / f"{name}.json"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["train", "--data", str(data), "--model", name,
@@ -49,30 +59,48 @@ def saved(tmp_path_factory):
     return data, texts
 
 
-def edit_tree(draw, document) -> None:
-    """One edit of one field of one tree, when the document still has trees."""
-    trees = document.get("state", {}).get("trees")
-    if not isinstance(trees, list) or not trees or not isinstance(trees[0], dict):
+def containers(parent, key):
+    """(parent, key) of every object and array at or below parent[key]."""
+    found = [(parent, key)]
+    value = parent[key]
+    if isinstance(value, (dict, list)):
+        for inner in (sorted(value) if isinstance(value, dict) else range(len(value))):
+            if isinstance(value[inner], (dict, list)):
+                found += containers(value, inner)
+    return found
+
+
+def edit_section(draw, document) -> None:
+    """One edit of one object or array in one section of the document."""
+    section = draw(st.sampled_from(SECTIONS))
+    if section not in document:
         return
-    tree = trees[draw(st.integers(0, len(trees) - 1))]
-    field = draw(st.sampled_from(FIELDS))
-    array = tree.get(field)
+    choices = containers(document, section)
+    parent, key = choices[draw(st.integers(0, len(choices) - 1))]
+    value = parent[key]
     operation = draw(st.sampled_from(["set", "set", "set", "truncate", "append",
                                       "nest", "delete", "retype"]))
-    if operation == "delete":
-        tree.pop(field, None)
-    elif operation == "retype" or not isinstance(array, list) or not array:
-        tree[field] = draw(ODD)
+    if operation == "delete" and parent is not document:
+        del parent[key]
+    elif operation == "retype" or not isinstance(value, (dict, list)) or not value:
+        parent[key] = draw(ODD)
+    elif isinstance(value, dict):
+        if operation == "append":
+            value["unexpected"] = draw(ODD)
+        elif operation in ("truncate", "delete"):
+            del value[draw(st.sampled_from(sorted(value)))]
+        else:
+            value[draw(st.sampled_from(sorted(value)))] = draw(ODD)
     elif operation == "truncate":
-        del array[draw(st.integers(0, len(array) - 1)):]
+        del value[draw(st.integers(0, len(value) - 1)):]
     elif operation == "append":
-        array.append(draw(ODD))
+        value.append(draw(st.sampled_from([value[-1]]) | ODD))
     elif operation == "nest":
-        tree[field] = [array[i : i + 3] for i in range(0, len(array), 3)]
+        parent[key] = [value[i : i + 3] for i in range(0, len(value), 3)]
     else:
-        at = draw(st.integers(0, len(array) - 1))
-        # Node-relative values: itself, its parent side, the end of the tree.
-        array[at] = draw(st.sampled_from([at - 1, at, len(array), len(array) + 1]) | ODD)
+        at = draw(st.integers(0, len(value) - 1))
+        # Index-relative values: itself, its parent side, the end of the array.
+        value[at] = draw(st.sampled_from([at - 1, at, len(value), len(value) + 1]) | ODD)
 
 
 def edit_anywhere(draw, document) -> None:
@@ -92,20 +120,50 @@ def edit_anywhere(draw, document) -> None:
 
 
 @settings(
-    max_examples=150,
+    max_examples=300,
     deadline=None,
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(st.sampled_from(MODELS), st.integers(1, 3), st.integers(0, 2), st.data())
-def test_predict_on_an_edited_tree_file_exits_0_or_3(saved, name, tree_edits, other_edits, data):
+@given(st.sampled_from(MODEL_NAMES), st.integers(1, 3), st.integers(0, 1), st.data())
+def test_predict_on_an_edited_model_file_exits_0_or_3(
+    saved, name, section_edits, other_edits, data
+):
     flows, texts = saved
     document = json.loads(texts[name])
-    for _ in range(tree_edits):
-        edit_tree(data.draw, document)
+    for _ in range(section_edits):
+        edit_section(data.draw, document)
     for _ in range(other_edits):
         edit_anywhere(data.draw, document)
+    check_predict(flows, document)
+
+
+def first_numbers(document):
+    """(array, label) of every fitted array, tree 0's arrays and the scaler's arrays."""
+    state = document["state"]
+    found = []
+    for field, value in state.items():
+        if field == "trees":
+            found += [(array, f"trees[0].{key}") for key, array in value[0].items()]
+        elif isinstance(value, list):
+            found.append((value[0] if isinstance(value[0], list) else value, field))
+    return found + [(document["scaler"][key], f"scaler.{key}") for key in ("mean", "std")]
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_predict_with_an_extreme_number_in_each_array_exits_0_or_3(saved, name):
+    flows, texts = saved
+    for at in range(len(first_numbers(json.loads(texts[name])))):
+        for value in EXTREMES:
+            document = json.loads(texts[name])
+            array, label = first_numbers(document)[at]
+            array[0] = value
+            check_predict(flows, document, f"{label}[0] = {value!r}")
+
+
+def check_predict(flows, document, edit=None) -> None:
+    """predict on the edited document exits 3 with one line, or 0 with one line per row."""
     path = flows.with_name("edited.json")
     path.write_text(json.dumps(document))
     out, err = io.StringIO(), io.StringIO()
@@ -113,12 +171,12 @@ def test_predict_on_an_edited_tree_file_exits_0_or_3(saved, name, tree_edits, ot
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["predict", "--data", str(flows), "--model-file", str(path)])
-    assert not caught, [str(w.message) for w in caught]
+    assert not caught, (edit, [str(w.message) for w in caught])
     if code == EXIT_MODEL:
         assert err.getvalue().startswith("model error: ")
         assert err.getvalue().count("\n") == 1
         return
-    assert code == EXIT_OK, err.getvalue()
+    assert code == EXIT_OK, (edit, err.getvalue())
     assert err.getvalue() == ""
     header, *lines = out.getvalue().splitlines()
     assert header == "row,prediction_code,prediction"

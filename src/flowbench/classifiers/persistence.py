@@ -14,7 +14,7 @@ from flowbench.classifiers.registry import MODEL_CLASSES
 from flowbench.features import CATEGORICAL_COLUMNS, FEATURE_COLUMNS, Scaler
 from flowbench.flow_data import MAX_EXACT_INTEGER, ThreatClass
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class ModelFormatError(ValueError):

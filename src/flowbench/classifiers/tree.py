@@ -19,14 +19,14 @@ the lowest threshold. Admissibility of the winner is decided in exact integer
 arithmetic so zero-gain splits are kept (both children still shrink) and
 float rounding can never turn a valid split into a leaf.
 
-A fitted tree is a `Tree`: parallel arrays with one entry per node (feature,
-threshold, left and right child, class fractions), numbered in the order the
-fit created the nodes, as in scikit-learn's `Tree` (Louppe, Understanding
-Random Forests, 2014, ch. 5). The grower records each group's new nodes and
-splits as arrays and lays every tree out once growth ends, so a fit makes no
-Python object per node, scoring routes row sets by array lookups, and a model
-file stores each field as one flat JSON array, however deep the tree.
-`TreeNode` is a read-only view of one node for code that walks a tree.
+A fit's trees form one `Forest`: parallel arrays with one entry per node
+(feature, threshold, left child, class fractions), tree after tree, each in
+the order the fit created its nodes, as in scikit-learn's `Tree` (Louppe,
+Understanding Random Forests, 2014, ch. 5); a right child is numbered left + 1.
+The grower records each group's new nodes and splits as arrays and lays the
+forest out once growth ends, so a fit makes no Python object per node, scoring
+routes row sets by array lookups, and a model file stores each field as one
+flat JSON array. `TreeNode` is a read-only view of one node for tree walks.
 """
 
 from __future__ import annotations
@@ -45,64 +45,62 @@ def gini(dist) -> float:
     return float(1.0 - np.dot(p, p))
 
 
-LEAF = -1  # the feature, left and right of a leaf
+LEAF = -1  # the feature and left child of a leaf
 
 
-class Tree(NamedTuple):
-    """One fitted tree as parallel arrays, one entry per node.
+class Forest(NamedTuple):
+    """A fit's trees as parallel arrays, one entry per node, tree after tree.
 
-    Nodes are numbered in the order the fit created them. Node 0 is the root,
-    and a node's children come after it. An internal node sends a row to
-    `left` when row[feature] <= threshold, else to `right`. A leaf holds LEAF
-    in feature, left and right, a threshold of 0.0, and in `value` the class
-    fractions of the training rows that reached it; an internal node's value
-    row is zero.
+    Tree t's nodes run from roots[t] up to the next tree's root (or the end),
+    numbered in the order the fit created them: its root comes first, and a
+    node's children come after it in the same tree. A split node sends a row
+    to `left` when row[feature] <= threshold, else to `left + 1`. A leaf holds
+    LEAF in feature and left, a threshold of 0.0, and in `value` the class
+    fractions of the training rows that reached it; a split node's value row
+    is zero.
     """
 
     feature: np.ndarray  # int32
     threshold: np.ndarray  # float64
-    left: np.ndarray  # int32
-    right: np.ndarray  # int32
+    left: np.ndarray  # int32, a node number of the whole forest
     value: np.ndarray  # float64, one row of k class fractions per node
+    roots: np.ndarray  # int32, each tree's first node, ascending from 0
 
 
 class TreeNode(NamedTuple):
-    """Read-only view of one node of a Tree, for code that walks a tree node by node.
+    """Read-only view of one node of a Forest, for code that walks a tree node by node.
 
-    The models read the arrays; nothing stores a view but the root views of
-    `DecisionTreeModel.trees_`. A leaf's `left` and `right` are None.
+    The models read the arrays; `DecisionTreeModel.trees_` makes root views on
+    each read. A leaf's `left` and `right` are None.
     """
 
-    tree: Tree
+    forest: Forest
     node: int = 0
 
     @property
     def is_leaf(self) -> bool:
-        return bool(self.tree.left[self.node] == LEAF)
+        return bool(self.forest.left[self.node] == LEAF)
 
     @property
     def feature(self) -> int:
-        return int(self.tree.feature[self.node])
+        return int(self.forest.feature[self.node])
 
     @property
     def threshold(self) -> float:
-        return float(self.tree.threshold[self.node])
+        return float(self.forest.threshold[self.node])
 
     @property
     def left(self) -> "TreeNode | None":
-        return self._child(self.tree.left)
+        return None if self.is_leaf else TreeNode(self.forest, int(self.forest.left[self.node]))
 
     @property
     def right(self) -> "TreeNode | None":
-        return self._child(self.tree.right)
+        left = self.left
+        return None if left is None else TreeNode(self.forest, left.node + 1)
 
     @property
     def dist(self) -> np.ndarray:
-        return self.tree.value[self.node]
-
-    def _child(self, children) -> "TreeNode | None":
-        child = int(children[self.node])
-        return None if child == LEAF else TreeNode(self.tree, child)
+        return self.forest.value[self.node]
 
 
 # Upper bound on the (node row, candidate feature) pairs scored in one group;
@@ -119,8 +117,8 @@ def build_tree(
     max_features: int | None = None,
     rngs: list[np.random.Generator] | None = None,
     bootstrap: bool = False,
-) -> list[Tree]:
-    """Grow CART trees on dense class codes y in [0, n_classes).
+) -> Forest:
+    """Grow a forest of CART trees on dense class codes y in [0, n_classes).
 
     Grows one tree per generator in `rngs`, or a single tree when `rngs` is
     None. With `bootstrap`, tree i first draws its rows with
@@ -157,34 +155,42 @@ def build_tree(
                     features = every_feature
                 step.append(_Pending(*stack.pop(), features, rng, stack))
         if not step:
-            return grower.trees()
+            return grower.forest()
         for group in _groups(step):
             grower.split(group)
 
 
-def tree_scores(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Route rows to leaves; one class distribution per row.
+def tree_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Route rows to leaves; per row, the sum of its leaves' class fractions.
 
-    Each split reads its feature's column, so a Fortran-order X routes fastest.
-    Row sets are split with `compress`, not boolean-mask indexing: on a mask
-    with no pattern, `idx[mask]` mispredicts a branch per element and costs
-    several times as much.
+    Trees are routed one at a time, in forest order, from lists of their own
+    fields, so no Python list spans the forest. Each split reads its feature's
+    column, so a Fortran-order X routes fastest. Row sets are split with
+    `compress`, not boolean-mask indexing: on a mask with no pattern,
+    `idx[mask]` mispredicts a branch per element and costs several times as
+    much.
     """
-    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
-    left, right = tree.left.tolist(), tree.right.tolist()
+    every_row = np.arange(X.shape[0])
     leaf_of = np.empty(X.shape[0], dtype=np.intp)
-    stack = [(0, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if left[node] == LEAF:
-            leaf_of[idx] = node
-            continue
-        go_left = X[:, feature[node]].take(idx) <= threshold[node]
-        stack.append((left[node], idx.compress(go_left)))
-        stack.append((right[node], idx.compress(~go_left)))
-    return tree.value.take(leaf_of, axis=0)
+    total = np.zeros((X.shape[0], forest.value.shape[1]))
+    bounds = [*forest.roots.tolist(), forest.left.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        feature = forest.feature[start:stop].tolist()
+        threshold = forest.threshold[start:stop].tolist()
+        left = (forest.left[start:stop] - start).tolist()  # a leaf's entry is not read
+        stack = [(0, every_row)]
+        while stack:
+            node, idx = stack.pop()
+            if idx.size == 0:
+                continue
+            if feature[node] == LEAF:
+                leaf_of[idx] = node
+                continue
+            go_left = X[:, feature[node]].take(idx) <= threshold[node]
+            stack.append((left[node], idx.compress(go_left)))
+            stack.append((left[node] + 1, idx.compress(~go_left)))
+        total += forest.value[start:stop].take(leaf_of, axis=0)
+    return total
 
 
 class _Pending(NamedTuple):
@@ -238,7 +244,7 @@ class _Grower:
 
     Nodes are recorded a group at a time, as arrays: `created` holds each
     new node's tree, number and class fractions, `splits` each split node's
-    tree, number, feature, threshold and left child. `trees` lays them out.
+    tree, number, feature, threshold and left child. `forest` lays them out.
     """
 
     def __init__(self, X, y, n_classes, splitter, n_trees):
@@ -320,28 +326,24 @@ class _Grower:
             pending = split[j % len(split)]
             pending.stack.append((pending.tree, int(children[j]), own, child_counts[j]))
 
-    def trees(self) -> list[Tree]:
-        """The grown trees, each laid out as its arrays."""
-        offsets = np.concatenate(([0], self.size.cumsum()))
-        total = int(offsets[-1])
+    def forest(self) -> Forest:
+        """The grown trees, laid out tree after tree as one Forest."""
+        roots = (self.size.cumsum() - self.size).astype(np.int32)
+        total = int(self.size.sum())
         value = np.empty((total, self.k))
         feature = np.full(total, LEAF, dtype=np.int32)
         threshold = np.zeros(total)
-        left, right = feature.copy(), feature.copy()
+        left = feature.copy()
         # Each record is dropped once copied, so no node is held twice over.
         while self.created:
             trees, nodes, values = self.created.pop()
-            value[offsets[trees] + nodes] = values
+            value[roots[trees] + nodes] = values
         while self.splits:
             trees, nodes, features, thresholds, lefts = self.splits.pop()
-            at = offsets[trees] + nodes
-            feature[at], threshold[at], left[at], right[at] = features, thresholds, lefts, lefts + 1
+            at = roots[trees] + nodes
+            feature[at], threshold[at], left[at] = features, thresholds, roots[trees] + lefts
             value[at] = 0.0
-        bounds = offsets.tolist()
-        return [
-            Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
-            for a, b in zip(bounds, bounds[1:])
-        ]
+        return Forest(feature, threshold, left, value, roots)
 
     def _pairs(self, group: list[_Pending]) -> _Pairs:
         sizes = np.array([pending.rows.size for pending in group])
@@ -475,8 +477,9 @@ class DecisionTreeModel(Classifier):
     lowers its weighted Gini. These settings are class constants: each model
     runs at fixed defaults.
 
-    `trees_` holds a root view of each tree; a model file stores each Tree
-    field as one JSON array per tree, `value` flattened node after node.
+    `forest_` holds the fitted trees as one Forest. A model file stores its
+    five fields as flat JSON arrays, `value` flattened node after node, and
+    loading checks that they describe `n_trees` trees.
     """
 
     name = "decision_tree"
@@ -488,7 +491,14 @@ class DecisionTreeModel(Classifier):
 
     def __init__(self):
         super().__init__()
-        self.trees_: list[TreeNode] | None = None
+        self.forest_: Forest | None = None
+
+    @property
+    def trees_(self) -> list[TreeNode] | None:
+        """A root view of each tree, for code that walks the trees node by node."""
+        if self.forest_ is None:
+            return None
+        return [TreeNode(self.forest_, root) for root in self.forest_.roots.tolist()]
 
     def _resolve_max_features(self, d: int) -> int | None:
         if self.max_features == "all":
@@ -496,7 +506,7 @@ class DecisionTreeModel(Classifier):
         return min(d, math.isqrt(d - 1) + 1 if d > 1 else 1)
 
     def _fit(self, X, codes):
-        trees = build_tree(
+        self.forest_ = build_tree(
             X,
             codes,
             self.classes_.size,
@@ -505,70 +515,60 @@ class DecisionTreeModel(Classifier):
             rngs=[np.random.default_rng([self.seed, i]) for i in range(self.n_trees)],
             bootstrap=self.bootstrap,
         )
-        self.trees_ = [TreeNode(tree) for tree in trees]
 
     def _scores(self, X):
-        X = np.asfortranarray(X)
-        total = np.zeros((X.shape[0], self.classes_.size), dtype=np.float64)
-        for root in self.trees_:
-            total += tree_scores(root.tree, X)
-        return total / len(self.trees_)
+        return tree_scores(self.forest_, np.asfortranarray(X)) / self.forest_.roots.size
 
     def _state(self):
-        return {
-            "trees": [
-                {field: array.ravel().tolist() for field, array in root.tree._asdict().items()}
-                for root in self.trees_
-            ]
-        }
+        return {field: array.ravel().tolist() for field, array in self.forest_._asdict().items()}
 
     def _load_state(self, state):
-        docs = state["trees"]
-        if len(docs) != self.n_trees:
-            raise ValueError(f"expected {self.n_trees} trees, found {len(docs)}")
         k, d = self.classes_.size, self.n_features_
-        self.trees_ = [TreeNode(_loaded_tree(doc, i, k, d)) for i, doc in enumerate(docs)]
-
-
-def _loaded_tree(doc: dict, i: int, k: int, d: int) -> Tree:
-    """Tree i of a model file, when its arrays describe one tree of k classes over d features."""
-    arrays = []
-    for field, kinds in (("feature", "i"), ("threshold", "if"), ("left", "i"), ("right", "i"),
-                         ("value", "if")):
-        array = np.asarray(doc[field])
-        if array.ndim != 1 or array.dtype.kind not in kinds:
-            kind = "integers" if kinds == "i" else "numbers"
-            raise ValueError(f"tree {i}: {field} must be a list of {kind}")
-        arrays.append(array)
-    feature, threshold, left, right, value = arrays
-    n = feature.size
-    if not (n and threshold.size == left.size == right.size == n and value.size == n * k):
-        raise ValueError(
-            f"tree {i}: feature, threshold, left and right must hold one entry per node,"
-            f" and value {k} per node"
+        arrays = []
+        for field, kinds in (("feature", "i"), ("threshold", "if"), ("left", "i"),
+                             ("value", "if"), ("roots", "i")):
+            array = np.asarray(state[field])
+            # An empty list reads as floats; it has no element of a wrong kind.
+            if array.ndim != 1 or (array.size and array.dtype.kind not in kinds):
+                kind = "integers" if kinds == "i" else "numbers"
+                raise ValueError(f"{field} must be a list of {kind}")
+            arrays.append(array)
+        feature, threshold, left, value, roots = arrays
+        n = feature.size
+        if not (threshold.size == left.size == n and value.size == n * k):
+            raise ValueError(
+                f"feature, threshold and left must hold one entry per node, and value {k} per node"
+            )
+        if roots.size != self.n_trees:
+            raise ValueError(f"expected {self.n_trees} trees, found {roots.size}")
+        if not (roots[0] == 0 and (roots[1:] > roots[:-1]).all() and roots[-1] < n):
+            raise ValueError(f"roots must ascend from 0 and lie below the node count, {n}")
+        leaf = left == LEAF
+        if not ((feature == LEAF) == leaf).all():
+            raise ValueError(f"a leaf must hold {LEAF} in feature and left")
+        # A split node's children, left and left + 1, must follow it within its
+        # tree, which ends where the next one starts. No root is then a child,
+        # and every other node has exactly one parent when the pairs do not
+        # overlap and cover n - n_trees nodes.
+        parents = (~leaf).nonzero()[0]
+        child = left[parents]
+        ends = np.append(roots[1:], n)[roots.searchsorted(parents, side="right") - 1]
+        if not ((child > parents) & (child < ends - 1)).all():
+            raise ValueError("child indices must point forward within their tree")
+        child.sort()
+        if 2 * child.size != n - roots.size or (np.diff(child) < 2).any():
+            raise ValueError("every node but a root must be the child of one node")
+        if not ((feature[parents] >= 0) & (feature[parents] < d)).all():
+            raise ValueError(f"features must lie in 0..{d - 1}")
+        if not np.isfinite(threshold).all():
+            raise ValueError("thresholds must be finite")
+        if not ((value >= 0) & (value <= 1)).all():
+            raise ValueError(f"value must hold {k} class fractions in [0, 1] per node")
+        self.forest_ = Forest(
+            feature.astype(np.int32), threshold.astype(np.float64, copy=False),
+            left.astype(np.int32), value.astype(np.float64, copy=False).reshape(n, k),
+            roots.astype(np.int32),
         )
-    leaf = left == LEAF
-    if not ((feature == LEAF) == leaf).all() or not ((right == LEAF) == leaf).all():
-        raise ValueError(f"tree {i}: a leaf must hold {LEAF} in feature, left and right")
-    parents = (~leaf).nonzero()[0]
-    children = np.concatenate([left[parents], right[parents]])
-    if not ((children > np.tile(parents, 2)) & (children < n)).all():
-        raise ValueError(f"tree {i}: child indices must point forward within the tree")
-    if not (np.bincount(children, minlength=n)[1:] == 1).all():
-        raise ValueError(f"tree {i}: every node but the root must be the child of one node")
-    if not ((feature[parents] >= 0) & (feature[parents] < d)).all():
-        raise ValueError(f"tree {i}: features must lie in 0..{d - 1}")
-    if not np.isfinite(threshold).all():
-        raise ValueError(f"tree {i}: thresholds must be finite")
-    if not ((value >= 0) & (value <= 1)).all():
-        raise ValueError(f"tree {i}: value must hold {k} class fractions in [0, 1] per node")
-    return Tree(
-        feature.astype(np.int32),
-        threshold.astype(np.float64),
-        left.astype(np.int32),
-        right.astype(np.int32),
-        value.astype(np.float64).reshape(n, k),
-    )
 
 
 class SeededTreeModel(DecisionTreeModel):

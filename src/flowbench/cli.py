@@ -27,8 +27,6 @@ from flowbench.classifiers import (
 from flowbench.features import encode_records, fit_transform, stratified_split
 from flowbench.flow_data import (
     CLASS_TOKENS,
-    RowError,
-    SchemaError,
     parse_dataset,
     records_to_csv,
     summarize,
@@ -154,7 +152,7 @@ def main(argv=None) -> int:
     except (_ModelError, ModelFormatError, NotFittedError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (SchemaError, RowError, OSError, UnicodeDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -254,9 +252,9 @@ def _cmd_train(args) -> int:
         raise _UsageError(str(exc)) from None
     try:
         model.fit(matrix.rows_for(model), matrix.labels)
-        save_model(args.output, model, encoders=matrix.encoders, scaler=matrix.scaler)
     except (OSError, ValueError, RuntimeError) as exc:
         raise _ModelError(str(exc)) from exc
+    save_model(args.output, model, encoders=matrix.encoders, scaler=matrix.scaler)
     print(f"saved {args.model} to {args.output} ({len(records)} training rows)")
     return EXIT_OK
 

@@ -360,7 +360,7 @@ def test_model_file_with_an_integer_beyond_the_digit_limit_is_model_error(
 @pytest.mark.parametrize(
     "name, path",
     [("knn", ("state", "train_rows", 0, 0)), ("ridge", ("state", "weights", 0, 0)),
-     ("decision_tree", ("state", "trees", 0, "threshold", 0))],
+     ("decision_tree", ("state", "threshold", 0))],
     ids=["knn", "ridge", "tree-threshold"],
 )
 def test_model_file_with_a_non_finite_number_is_model_error(
@@ -393,6 +393,13 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
     )
 
 
+def _root_onto_grandchildren(document) -> None:
+    """Point a tree's root at the children of its first child that splits."""
+    left = document["state"]["left"]
+    child = next(node for node in (left[0], left[0] + 1) if left[node] != -1)
+    left[0] = left[child]
+
+
 @pytest.mark.parametrize(
     "name, edit, message",
     [
@@ -403,7 +410,7 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
         ("knn", lambda doc: doc["scaler"].update(mean=[0.0] * 3),
          "the scaler must hold 13 finite means"),
         ("knn", lambda doc: doc["scaler"].update(std=[-1.0] * 13), "non-negative stds"),
-        ("decision_tree", lambda doc: doc["state"].update(trees=[]),
+        ("decision_tree", lambda doc: doc["state"].update(roots=[]),
          "expected 1 trees, found 0"),
         ("knn", lambda doc: doc["state"]["train_codes"].__setitem__(0, 9),
          "train_codes must lie in 0..2"),
@@ -424,22 +431,44 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
          "train_rows must square to finite numbers"),
         ("ridge", lambda doc: doc["state"]["weights"][0].__setitem__(0, -(10**400)),
          "int too large to convert to float"),
-        ("decision_tree", lambda doc: doc["state"]["trees"][0]["left"].__setitem__(0, 0),
-         "tree 0: child indices must point forward within the tree"),
+        ("decision_tree", lambda doc: doc["state"]["left"].__setitem__(0, 0),
+         "child indices must point forward within their tree"),
         ("decision_tree",
-         lambda doc: doc["state"]["trees"][0]["right"].__setitem__(
-             0, len(doc["state"]["trees"][0]["right"])),
-         "tree 0: child indices must point forward within the tree"),
-        ("decision_tree", lambda doc: doc["state"]["trees"][0]["feature"].__setitem__(0, 13),
-         "tree 0: features must lie in 0..12"),
-        ("decision_tree", lambda doc: doc["state"]["trees"][0]["feature"].__setitem__(0, -2),
-         "tree 0: features must lie in 0..12"),
-        ("decision_tree", lambda doc: doc["state"]["trees"][0]["value"].__setitem__(-1, -0.5),
-         "tree 0: value must hold 3 class fractions in [0, 1] per node"),
-        ("decision_tree", lambda doc: doc["state"]["trees"][0]["threshold"].pop(),
-         "tree 0: feature, threshold, left and right must hold one entry per node"),
-        ("random_forest", lambda doc: doc["state"]["trees"].pop(),
+         lambda doc: doc["state"]["left"].__setitem__(0, len(doc["state"]["left"]) - 1),
+         "child indices must point forward within their tree"),
+        ("decision_tree", lambda doc: doc["state"]["feature"].__setitem__(0, 13),
+         "features must lie in 0..12"),
+        ("decision_tree", lambda doc: doc["state"]["feature"].__setitem__(0, -2),
+         "features must lie in 0..12"),
+        ("decision_tree", lambda doc: doc["state"]["value"].__setitem__(-1, -0.5),
+         "value must hold 3 class fractions in [0, 1] per node"),
+        ("decision_tree", lambda doc: doc["state"]["threshold"].pop(),
+         "feature, threshold and left must hold one entry per node"),
+        ("random_forest", lambda doc: doc["state"]["roots"].pop(),
          "expected 100 trees, found 99"),
+        ("random_forest", lambda doc: doc["state"]["roots"].append(doc["state"]["roots"][-1] + 1),
+         "expected 100 trees, found 101"),
+        ("decision_tree", lambda doc: doc["state"].update(roots=[1]),
+         "roots must ascend from 0 and lie below the node count"),
+        ("random_forest", lambda doc: doc["state"]["roots"].__setitem__(0, 1),
+         "roots must ascend from 0 and lie below the node count"),
+        ("random_forest", lambda doc: doc["state"]["roots"].reverse(),
+         "roots must ascend from 0 and lie below the node count"),
+        ("random_forest",
+         lambda doc: doc["state"]["roots"].__setitem__(2, doc["state"]["roots"][1]),
+         "roots must ascend from 0 and lie below the node count"),
+        ("decision_tree",
+         lambda doc: doc["state"]["roots"].__setitem__(0, len(doc["state"]["left"])),
+         "roots must ascend from 0 and lie below the node count"),
+        # Tree 0's root points at tree 1's root, then at a node inside tree 1.
+        ("random_forest",
+         lambda doc: doc["state"]["left"].__setitem__(0, doc["state"]["roots"][1]),
+         "child indices must point forward within their tree"),
+        ("random_forest",
+         lambda doc: doc["state"]["left"].__setitem__(0, doc["state"]["roots"][1] + 1),
+         "child indices must point forward within their tree"),
+        ("decision_tree", _root_onto_grandchildren,
+         "every node but a root must be the child of one node"),
         *(("decision_tree", lambda doc, value=value: doc["state"].update(n_features=value),
            "n_features must be a non-negative integer") for value in ("13", " 13 ", 13.9, True)),
     ],
@@ -449,7 +478,10 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
          "knn-row-beyond-float", "knn-row-beyond-square", "ridge-weight-beyond-float",
          "tree-child-backwards", "tree-child-beyond-end", "tree-feature-beyond-width",
          "tree-negative-feature", "tree-negative-value", "tree-short-threshold",
-         "forest-99-trees", "n-features-string", "n-features-padded-string",
+         "forest-99-trees", "forest-101-trees", "tree-root-not-0", "forest-roots-not-from-0",
+         "forest-roots-descending", "forest-roots-repeated", "tree-root-beyond-end",
+         "forest-root-is-a-child", "forest-child-in-next-tree", "tree-node-with-two-parents",
+         "n-features-string", "n-features-padded-string",
          "n-features-float", "n-features-bool"],
 )
 def test_model_file_with_inconsistent_state_is_model_error(
@@ -482,17 +514,35 @@ def test_tree_of_depth_3999_trains_saves_and_predicts(tmp_path, capsys):
                  "--output", str(predictions)]) == EXIT_OK
     assert capsys.readouterr().err == ""
     assert [line.rsplit(",", 1)[1] for line in predictions.read_text().splitlines()[1:]] == labels
-    (tree,) = json.loads(model_file.read_text())["state"]["trees"]
-    depth = [0] * len(tree["left"])
-    for node, (left, right) in enumerate(zip(tree["left"], tree["right"])):
+    state = json.loads(model_file.read_text())["state"]
+    assert state["roots"] == [0]
+    depth = [0] * len(state["left"])
+    for node, left in enumerate(state["left"]):
         if left != -1:
-            depth[left] = depth[right] = depth[node] + 1
+            depth[left] = depth[left + 1] = depth[node] + 1
     assert max(depth) == 3_999
 
 
 def test_synth_validates_arguments(tmp_path):
     assert main(["synth", "--rows", "0"]) == EXIT_USAGE
     assert main(["synth", "--rows", "5", "--signal-strength", "2.0"]) == EXIT_USAGE
+
+
+def test_every_output_that_cannot_be_written_is_data_error(synth_csv, tmp_path, capsys):
+    model_file = tmp_path / "model.json"
+    assert main(["train", "--data", str(synth_csv), "--model", "dummy",
+                 "--output", str(model_file)]) == EXIT_OK
+    unwritable = str(tmp_path / "missing" / "out")
+    for command in (
+        ["train", "--data", str(synth_csv), "--model", "dummy"],
+        ["bench", "--data", str(synth_csv), "--models", "dummy"],
+        ["predict", "--data", str(synth_csv), "--model-file", str(model_file)],
+        ["synth", "--rows", "5"],
+    ):
+        capsys.readouterr()
+        assert main([*command, "--output", unwritable]) == EXIT_DATA, command
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
 
 
 def test_output_files_are_written(synth_csv, tmp_path):

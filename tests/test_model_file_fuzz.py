@@ -2,13 +2,14 @@
 
 Hypothesis edits saved files of all 14 models. Each edit picks a section of
 the file (the fitted state, the scaler, the encoders or the hyperparameters
-`seed` and `max_epochs`), then one object or array in it, down to a tree's
-arrays or a matrix row. It deletes or adds keys, changes types, truncates,
-extends or reshapes arrays, points indices backwards or out of range, and
-sets numbers and codes to huge, negative, fractional or boolean values.
-A sweep also sets the first number of every fitted array, of tree 0's arrays
-and of the scaler to each of a few extreme magnitudes, which random edits
-rarely reach.
+`seed` and `max_epochs`), then one object or array in it, down to a matrix
+row. It deletes or adds keys, changes types, truncates, extends or reshapes
+arrays, points indices backwards or out of range, and sets numbers and codes
+to huge, negative, fractional or boolean values.
+A sweep also sets the first number of every fitted array, a tree model's
+forest included, and of the scaler to each of a few extreme magnitudes, which
+random edits rarely reach. Another moves, drops, adds and reorders a tree
+model's roots, the node numbers at which its trees start.
 
 `predict` must then either exit 0 and write one valid line per row, or exit
 3 with a one-line message; it never exits 1 or 2, and never prints a
@@ -41,6 +42,7 @@ ODD = st.sampled_from([
     1.5, 12, 13, 2**31, 2**63, 10**400, 1e200, -1e308,
 ]).map(copy.deepcopy)  # a later edit must not change the list's own [] or {}
 EXTREMES = (1e200, -1e308, 1e-300)
+TREE_MODELS = ("decision_tree", "extra_tree", "bagging", "random_forest", "extra_trees")
 
 
 @pytest.fixture(scope="module")
@@ -140,13 +142,10 @@ def test_predict_on_an_edited_model_file_exits_0_or_3(
 
 
 def first_numbers(document):
-    """(array, label) of every fitted array, tree 0's arrays and the scaler's arrays."""
-    state = document["state"]
+    """(array, label) of every fitted array and of the scaler's arrays."""
     found = []
-    for field, value in state.items():
-        if field == "trees":
-            found += [(array, f"trees[0].{key}") for key, array in value[0].items()]
-        elif isinstance(value, list):
+    for field, value in document["state"].items():
+        if isinstance(value, list):
             found.append((value[0] if isinstance(value[0], list) else value, field))
     return found + [(document["scaler"][key], f"scaler.{key}") for key in ("mean", "std")]
 
@@ -160,6 +159,22 @@ def test_predict_with_an_extreme_number_in_each_array_exits_0_or_3(saved, name):
             array, label = first_numbers(document)[at]
             array[0] = value
             check_predict(flows, document, f"{label}[0] = {value!r}")
+
+
+@pytest.mark.parametrize("name", TREE_MODELS)
+def test_predict_with_edited_roots_exits_0_or_3(saved, name):
+    flows, texts = saved
+    state = json.loads(texts[name])["state"]
+    roots, n = state["roots"], len(state["left"])
+    edits = [[], roots[::-1], roots[:-1], roots + [n - 1], roots + [n], roots + roots[-1:],
+             [root + 1 for root in roots], [root - 1 for root in roots]]
+    for at in sorted({0, 1 % len(roots), len(roots) - 1}):
+        for value in (roots[at] - 1, roots[at] + 1, roots[at - 1], n - 1, n, -1):
+            edits.append([*roots[:at], value, *roots[at + 1:]])
+    for edited in edits:
+        document = json.loads(texts[name])
+        document["state"]["roots"] = edited
+        check_predict(flows, document, f"roots = {edited!r}")
 
 
 def check_predict(flows, document, edit=None) -> None:

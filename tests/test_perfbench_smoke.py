@@ -19,16 +19,17 @@ TREE_MODELS = ["decision_tree", "extra_tree", "bagging", "random_forest", "extra
 
 
 def array_stats(model) -> dict:
-    """Node count and deepest leaf over a tree model's trees, read from their arrays."""
+    """Node count and deepest leaf over a tree model's trees, read from its forest's arrays."""
+    forest = model.forest_
+    level = [0] * forest.left.size
+    for node, left in enumerate(forest.left.tolist()):
+        if left != -1:
+            level[left] = level[left + 1] = level[node] + 1
+    roots = forest.roots.tolist()
     nodes = depth = 0
-    for root in model.trees_:
-        tree = root.tree
-        level = [0] * tree.left.size
-        for node, (left, right) in enumerate(zip(tree.left.tolist(), tree.right.tolist())):
-            if left != -1:
-                level[left] = level[right] = level[node] + 1
-        nodes += len(level)
-        depth = max(depth, *level)
+    for root, end in zip(roots, [*roots[1:], len(level)]):
+        nodes += end - root
+        depth = max(depth, *level[root:end])
     return {"nodes": nodes, "depth": depth}
 
 

@@ -60,10 +60,11 @@ def test_round_trip_reproduces_predictions_exactly(name, trained_setup, tmp_path
 
 
 def test_unknown_format_version_rejected(tmp_path):
-    # Format 1 files also stored each model's tunable hyperparameters, and
-    # format 2 files stored each tree as nested node objects.
+    # Format 1 files also stored each model's tunable hyperparameters,
+    # format 2 files stored each tree as nested node objects, and format 3
+    # files stored each tree's arrays, a right child array among them.
     path = tmp_path / "model.json"
-    for version in (1, 2, 4):
+    for version in (1, 2, 3, 5):
         path.write_text(json.dumps({"format_version": version, "model": "dummy"}))
         with pytest.raises(
             ModelFormatError, match=f"^unsupported model format_version: {version}$"
@@ -87,3 +88,20 @@ def test_scaler_round_trips(trained_setup, tmp_path):
     artifact = load_model(path)
     np.testing.assert_array_equal(artifact.scaler.mean, matrix.scaler.mean)
     np.testing.assert_array_equal(artifact.scaler.std, matrix.scaler.std)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_save_load_save_writes_identical_bytes(name, trained_setup, tmp_path):
+    records, matrix, probe = trained_setup
+    model = make_model(name, seed=3)
+    model.fit(matrix.rows_for(model), matrix.labels)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(first, model, encoders=matrix.encoders, scaler=matrix.scaler)
+    artifact = load_model(first)
+    save_model(second, artifact.model, encoders=artifact.encoders, scaler=artifact.scaler)
+    assert second.read_bytes() == first.read_bytes()
+    if hasattr(model, "forest_"):
+        for field, before in model.forest_._asdict().items():
+            after = getattr(artifact.model.forest_, field)
+            assert (after.dtype, after.shape) == (before.dtype, before.shape), field
+            np.testing.assert_array_equal(after, before)

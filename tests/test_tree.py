@@ -89,6 +89,13 @@ def as_dict(node: TreeNode) -> dict:
     }
 
 
+def _walked_nodes(node: TreeNode) -> list[int]:
+    """The node numbers of a tree, walked through its views."""
+    if node.is_leaf:
+        return [node.node]
+    return [node.node, *_walked_nodes(node.left), *_walked_nodes(node.right)]
+
+
 # Two rows whose midpoint, (2**52 + 1 + 2**52 + 2) / 2, rounds onto the upper
 # value; a uniform draw between them lands on it about half the time.
 ADJACENT_ROWS = np.array([[4503599627370497.0, 1.0], [4503599627370498.0, 1.0]])
@@ -244,6 +251,8 @@ def test_tree_scores_match_row_by_row_routing(rng):
         model = make_model("random_forest", seed=4).fit(rows, y)
         total = np.zeros((probe.shape[0], 3))
         for root in model.trees_:
+            # The forest with this tree's root as its only root.
+            tree = model.forest_._replace(roots=np.array([root.node], dtype=np.int32))
             # Every row on the root's threshold routes left and leaves the right
             # subtree without rows; the rows right of it leave the left one empty.
             on_threshold = probe.copy()
@@ -252,11 +261,12 @@ def test_tree_scores_match_row_by_row_routing(rng):
             for rows in (probe, on_threshold, right_only):
                 expected = _routed_dists(root, rows)
                 for layout in (rows, np.asfortranarray(rows)):
-                    assert np.array_equal(tree_scores(root.tree, layout), expected)
+                    assert np.array_equal(tree_scores(tree, layout), expected)
             total += _routed_dists(root, probe)
+        assert np.array_equal(tree_scores(model.forest_, probe), total)
         assert np.array_equal(model.predict_scores(probe), total / len(model.trees_))
     assert (model.predict_scores(repeated).max(axis=1) < 1.0).any()
-    assert tree_scores(model.trees_[0].tree, probe[:0]).shape == (0, 3)
+    assert tree_scores(model.forest_, probe[:0]).shape == (0, 3)
 
 
 def test_midpoint_rounding_onto_upper_value_still_splits():
@@ -328,7 +338,7 @@ def test_extra_tree_draws_from_its_seed_alone(seed):
     X = rng.integers(0, 8, size=(60, 4)).astype(float)
     y = rng.integers(0, 3, size=60)
     model = ExtraTreeModel(seed=seed).fit(X, y)
-    direct = build_tree(X, y, 3, splitter="random", rngs=[np.random.default_rng(seed)])[0]
+    direct = build_tree(X, y, 3, splitter="random", rngs=[np.random.default_rng(seed)])
     assert as_dict(model.trees_[0]) == as_dict(TreeNode(direct))
 
 
@@ -550,14 +560,18 @@ def _random_tree_settings(rng, name):
 def _assert_build_tree_matches_reference(settings, X, y):
     classes, codes = np.unique(y, return_inverse=True)
     expected = _reference_forest(X, codes, classes.size, **settings)
-    trees = build_tree(
+    forest = build_tree(
         X, codes, classes.size,
         splitter=settings["splitter"],
         max_features=settings["max_features"],
         rngs=[np.random.default_rng(seed) for seed in settings["seeds"]],
         bootstrap=settings["bootstrap"],
     )
-    assert [as_dict(TreeNode(tree)) for tree in trees] == expected
+    roots = forest.roots.tolist()
+    assert [as_dict(TreeNode(forest, root)) for root in roots] == expected
+    # Tree after tree: each tree's walk visits the nodes up to the next root.
+    for root, end in zip(roots, [*roots[1:], forest.left.size]):
+        assert sorted(_walked_nodes(TreeNode(forest, root))) == list(range(root, end))
 
 
 EDGE_PROBLEMS = [

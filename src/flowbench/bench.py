@@ -71,9 +71,9 @@ class BenchOptions:
         non_negative_int(self.seed, "seed")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
-        if self.folds != 0 and self.folds < 2:
+        if non_negative_int(self.folds, "folds") == 1:
             raise ValueError("folds must be 0 or at least 2")
-        if self.workers < 1:
+        if non_negative_int(self.workers, "workers") < 1:
             raise ValueError("workers must be at least 1")
 
 

@@ -29,18 +29,17 @@ class Classifier:
 
     name: str = ""
     needs_scaling: bool = False
-    # Fitted array attributes and their shapes, by dimension name: k is
-    # len(classes), d is n_features, and any other name (knn's m training
-    # rows) is a size that every array naming it must share. The default
-    # _state/_load_state save each array under its name without the trailing
-    # underscore, and _load_state checks the shapes.
-    _fitted: dict[str, tuple[str, ...]] = {}
+    # Fitted arrays by the name a model file stores them under, each held in
+    # the attribute of that name with a trailing underscore: its element kind
+    # (int or float), then its shape by dimension name. k is len(classes) and
+    # d is n_features; any other name (knn's m training rows) is a free size,
+    # bound by the first declared one-dimensional array that names it.
+    # persistence.py writes, reads and checks every declared array.
+    _fitted: dict[str, tuple] = {}
 
     def __init__(self):
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
-        for attr in self._fitted:
-            setattr(self, attr, None)
 
     def fit(self, X, y) -> "Classifier":
         X = np.asarray(X, dtype=np.float64)
@@ -77,22 +76,6 @@ class Classifier:
         """Constructor arguments by name; each is stored under the same attribute."""
         return {p: getattr(self, p) for p in inspect.signature(type(self)).parameters}
 
-    # persistence hooks -----------------------------------------------------
-    def get_state(self) -> dict:
-        self._require_fitted()
-        state = {
-            "classes": [int(c) for c in self.classes_],
-            "n_features": int(self.n_features_),
-        }
-        state.update(self._state())
-        return state
-
-    def set_state(self, state: dict) -> "Classifier":
-        self.classes_ = np.asarray(state["classes"], dtype=np.int64)
-        self.n_features_ = non_negative_int(state["n_features"], "n_features")
-        self._load_state(state)
-        return self
-
     # subclass hooks ----------------------------------------------------------
     def _fit(self, X: np.ndarray, codes: np.ndarray) -> None:
         raise NotImplementedError
@@ -100,27 +83,17 @@ class Classifier:
     def _scores(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _state(self) -> dict:
-        return {a.removesuffix("_"): getattr(self, a).tolist() for a in self._fitted}
+    def _state(self) -> dict[str, np.ndarray]:
+        """The declared fitted arrays, by name."""
+        return {name: getattr(self, name + "_") for name in self._fitted}
 
-    def _load_state(self, state: dict) -> None:
-        sizes = {"k": self.classes_.size, "d": self.n_features_}
-        for attr, shape in self._fitted.items():
-            name = attr.removesuffix("_")
-            values = np.asarray(state[name])
-            if values.ndim == len(shape):
-                for dim, n in zip(shape, values.shape):
-                    sizes.setdefault(dim, n)
-            # A dimension still unbound stays a name, which no shape equals.
-            expected = tuple(sizes.get(dim, dim) for dim in shape)
-            if values.shape != expected:
-                raise ValueError(
-                    f"{name} must have shape ({', '.join(shape)}) = {_shape_text(expected)},"
-                    f" found {_shape_text(values.shape)}"
-                )
-            # JSON keeps ints and floats apart; every fit yields int64 or float64.
-            dtype = np.int64 if values.dtype.kind == "i" else np.float64
-            setattr(self, attr, values.astype(dtype, copy=False))
+    def _load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Adopt decoded arrays of the declared kinds and shapes.
+
+        A model overrides this to check invariants of its own.
+        """
+        for name, array in arrays.items():
+            setattr(self, name + "_", array)
 
     # helpers -----------------------------------------------------------------
     def _require_fitted(self) -> None:
@@ -139,7 +112,3 @@ class Classifier:
         if not np.isfinite(X).all():
             raise ValueError("non-finite feature values")
         return X
-
-
-def _shape_text(sizes) -> str:
-    return f"({', '.join(map(str, sizes))})"

@@ -18,11 +18,8 @@ class GaussianNBModel(Classifier):
 
     name = "gaussian_nb"
     needs_scaling = True
-    _fitted = {
-        "means_": ("k", "d"),
-        "variances_": ("k", "d"),
-        "log_priors_": ("k",),
-    }
+    _fitted = {"means": (float, "k", "d"), "variances": (float, "k", "d"),
+               "log_priors": (float, "k")}
     var_smoothing = 1e-9
 
     def _fit(self, X, codes):
@@ -50,8 +47,8 @@ class GaussianNBModel(Classifier):
             log_posterior[:, c] = self.log_priors_[c] + loglik
         return _softmax_rows(log_posterior)
 
-    def _load_state(self, state):
-        super()._load_state(state)
+    def _load_state(self, arrays):
+        super()._load_state(arrays)
         # A fit floors every variance above zero; scoring takes their logs.
         if not (np.isfinite(self.variances_).all() and (self.variances_ > 0).all()):
             raise ValueError("variances must be finite and positive")
@@ -62,11 +59,8 @@ class BernoulliNBModel(Classifier):
 
     name = "bernoulli_nb"
     needs_scaling = True
-    _fitted = {
-        "log_rates_": ("k", "d"),
-        "log_complements_": ("k", "d"),
-        "log_priors_": ("k",),
-    }
+    _fitted = {"log_rates": (float, "k", "d"), "log_complements": (float, "k", "d"),
+               "log_priors": (float, "k")}
     alpha = 1.0
 
     def _fit(self, X, codes):

@@ -14,7 +14,7 @@ class DummyModel(Classifier):
     """
 
     name = "dummy"
-    _fitted = {"prior_": ("k",)}
+    _fitted = {"prior": (float, "k")}
 
     def _fit(self, X, codes):
         counts = np.bincount(codes, minlength=self.classes_.size)

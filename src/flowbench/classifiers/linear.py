@@ -71,7 +71,7 @@ class _LinearModel(Classifier):
     """One weight row and one bias per class; scores are X @ W.T + b."""
 
     needs_scaling = True
-    _fitted = {"weights_": ("k", "d"), "bias_": ("k",)}
+    _fitted = {"weights": (float, "k", "d"), "bias": (float, "k")}
 
     def _scores(self, X):
         return X @ self.weights_.T + self.bias_

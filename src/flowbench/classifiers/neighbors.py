@@ -21,7 +21,7 @@ class KNNModel(Classifier):
     name = "knn"
     needs_scaling = True
     k = 5
-    _fitted = {"train_rows_": ("m", "d"), "train_codes_": ("m",)}
+    _fitted = {"train_rows": (float, "m", "d"), "train_codes": (int, "m")}
 
     def __init__(self):
         super().__init__()
@@ -82,8 +82,8 @@ class KNNModel(Classifier):
             flat[offsets + nearest[j]] = distances[j]
         return np.argsort(d2, axis=1, kind="stable")[:, : self.k].T
 
-    def _load_state(self, state):
-        super()._load_state(state)
+    def _load_state(self, arrays):
+        super()._load_state(arrays)
         self._check_k(self.train_rows_.shape[0])
         if not np.isin(self.train_codes_, np.arange(self.classes_.size)).all():
             raise ValueError(f"train_codes must lie in 0..{self.classes_.size - 1}")
@@ -101,7 +101,7 @@ class NearestCentroidModel(Classifier):
 
     name = "nearest_centroid"
     needs_scaling = True
-    _fitted = {"centroids_": ("k", "d")}
+    _fitted = {"centroids": (float, "k", "d")}
 
     def _fit(self, X, codes):
         self.centroids_ = np.stack(

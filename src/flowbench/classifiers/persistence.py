@@ -9,12 +9,20 @@ from pathlib import Path
 
 import numpy as np
 
-from flowbench.classifiers.base import Classifier
+from flowbench.classifiers.base import Classifier, non_negative_int
 from flowbench.classifiers.registry import MODEL_CLASSES
 from flowbench.features import CATEGORICAL_COLUMNS, FEATURE_COLUMNS, Scaler
 from flowbench.flow_data import MAX_EXACT_INTEGER, ThreatClass
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
+
+# Each element kind an array declaration names: the dtype the array decodes
+# to, the kinds of the numpy arrays (as np.asarray reads a JSON list) that
+# convert to it, and what the list must hold. A float array takes integers
+# too, uint64 among them (an integer in [2**63, 2**64)).
+_KINDS = {int: (np.int64, "i", "integers"), float: (np.float64, "iuf", "numbers")}
+# The scaler's arrays, declared as a model declares its fitted arrays.
+_SCALER = {"mean": (float, "d"), "std": (float, "d")}
 
 
 class ModelFormatError(ValueError):
@@ -35,13 +43,18 @@ def save_model(
 ) -> None:
     # column_names is written for readers of the file; load_model checks
     # n_features instead, the width that predict requires.
+    model._require_fitted()
     document = {
         "format_version": FORMAT_VERSION,
         "model": model.name,
         "hyperparameters": model.hyperparameters,
-        "state": model.get_state(),
+        "state": {
+            "classes": model.classes_.tolist(),
+            "n_features": model.n_features_,
+            **_encoded(model._state()),
+        },
         "encoders": encoders,
-        "scaler": scaler.to_json_dict() if scaler is not None else None,
+        "scaler": None if scaler is None else _encoded({"mean": scaler.mean, "std": scaler.std}),
         "column_names": FEATURE_COLUMNS,
     }
     Path(path).write_text(json.dumps(document), encoding="utf-8")
@@ -73,15 +86,17 @@ def load_model(path) -> ModelArtifact:
         raise ModelFormatError(f"unknown model name in file: {name!r}")
     try:
         model = MODEL_CLASSES[name](**document["hyperparameters"])
-        _check_classes(document["state"]["classes"])
-        model.set_state(document["state"])
+        state = document["state"]
+        model.classes_ = _checked_classes(state["classes"])
+        model.n_features_ = non_negative_int(state["n_features"], "n_features")
+        sizes = {"k": model.classes_.size, "d": model.n_features_}
+        model._load_state(_decoded(state, model._fitted, sizes))
         return ModelArtifact(
             model=model,
             encoders=_checked_encoders(document["encoders"]),
             scaler=_checked_scaler(document.get("scaler"), model.n_features_),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an integer beyond float64's range in a float array.
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
 
 
@@ -96,8 +111,39 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _check_classes(classes) -> None:
-    """Require a non-empty, strictly increasing list of ThreatClass codes."""
+def _encoded(arrays: dict[str, np.ndarray]) -> dict[str, list]:
+    """Each array as one flat JSON list, in C order."""
+    return {name: array.ravel().tolist() for name, array in arrays.items()}
+
+
+def _decoded(document: dict, declared: dict, sizes: dict[str, int]) -> dict[str, np.ndarray]:
+    """The declared arrays of a document, each as int64 or float64 in its declared shape.
+
+    `sizes` binds dimension names to sizes. A free dimension is bound by the
+    first declared one-dimensional array that names it, so those decode first.
+    """
+    arrays = {}
+    for name, (kind, *dims) in sorted(declared.items(), key=lambda item: len(item[1])):
+        dtype, kinds, noun = _KINDS[kind]
+        try:
+            array = np.asarray(document[name])
+        except ValueError:  # lists nested to unequal depths or lengths
+            array = None
+        # An empty list reads as floats; it has no element of a wrong kind.
+        if array is None or array.ndim != 1 or (array.size and array.dtype.kind not in kinds):
+            raise ValueError(f"{name} must be a flat list of {noun}")
+        if len(dims) == 1:
+            sizes.setdefault(dims[0], array.size)
+        shape = [sizes[dim] for dim in dims]
+        if array.size != math.prod(shape):
+            expected = f"{' * '.join(dims)} = {math.prod(shape)}"
+            raise ValueError(f"{name} must hold {expected} {noun}, found {array.size}")
+        arrays[name] = array.astype(dtype, copy=False).reshape(shape)
+    return arrays
+
+
+def _checked_classes(classes) -> np.ndarray:
+    """The classes, when they are a non-empty, strictly increasing list of ThreatClass codes."""
     known = range(len(ThreatClass))
     if not (
         isinstance(classes, list)
@@ -109,23 +155,20 @@ def _check_classes(classes) -> None:
             "classes must be a strictly increasing list of class codes"
             f" in 0..{len(ThreatClass) - 1}"
         )
+    return np.array(classes, dtype=np.int64)
 
 
 def _checked_scaler(doc, n_features: int) -> Scaler | None:
     """The scaler, when it holds n_features finite means and finite, non-negative stds."""
     if not doc:
         return None
-    scaler = Scaler.from_json_dict(doc)
+    scaler = Scaler(**_decoded(doc, _SCALER, {"d": n_features}))
     if not (
-        scaler.mean.shape == scaler.std.shape == (n_features,)
-        and np.isfinite(scaler.mean).all()
+        np.isfinite(scaler.mean).all()
         and np.isfinite(scaler.std).all()
         and (scaler.std >= 0).all()
     ):
-        raise ModelFormatError(
-            f"the scaler must hold {n_features} finite means and {n_features} finite, "
-            "non-negative stds"
-        )
+        raise ModelFormatError("the scaler must hold finite means and finite, non-negative stds")
     return scaler
 
 

@@ -477,9 +477,9 @@ class DecisionTreeModel(Classifier):
     lowers its weighted Gini. These settings are class constants: each model
     runs at fixed defaults.
 
-    `forest_` holds the fitted trees as one Forest. A model file stores its
-    five fields as flat JSON arrays, `value` flattened node after node, and
-    loading checks that they describe `n_trees` trees.
+    `forest_` holds the fitted trees as one Forest, whose five fields are the
+    model's declared arrays: n nodes and t trees. Loading checks that they
+    describe `n_trees` trees.
     """
 
     name = "decision_tree"
@@ -488,6 +488,8 @@ class DecisionTreeModel(Classifier):
     bootstrap = False
     max_features = "all"  # or "sqrt"
     seed = 0
+    _fitted = {"feature": (int, "n"), "threshold": (float, "n"), "left": (int, "n"),
+               "value": (float, "n", "k"), "roots": (int, "t")}
 
     def __init__(self):
         super().__init__()
@@ -520,25 +522,11 @@ class DecisionTreeModel(Classifier):
         return tree_scores(self.forest_, np.asfortranarray(X)) / self.forest_.roots.size
 
     def _state(self):
-        return {field: array.ravel().tolist() for field, array in self.forest_._asdict().items()}
+        return self.forest_._asdict()
 
-    def _load_state(self, state):
-        k, d = self.classes_.size, self.n_features_
-        arrays = []
-        for field, kinds in (("feature", "i"), ("threshold", "if"), ("left", "i"),
-                             ("value", "if"), ("roots", "i")):
-            array = np.asarray(state[field])
-            # An empty list reads as floats; it has no element of a wrong kind.
-            if array.ndim != 1 or (array.size and array.dtype.kind not in kinds):
-                kind = "integers" if kinds == "i" else "numbers"
-                raise ValueError(f"{field} must be a list of {kind}")
-            arrays.append(array)
-        feature, threshold, left, value, roots = arrays
-        n = feature.size
-        if not (threshold.size == left.size == n and value.size == n * k):
-            raise ValueError(
-                f"feature, threshold and left must hold one entry per node, and value {k} per node"
-            )
+    def _load_state(self, arrays):
+        feature, threshold, left, value, roots = (arrays[field] for field in Forest._fields)
+        k, d, n = self.classes_.size, self.n_features_, feature.size
         if roots.size != self.n_trees:
             raise ValueError(f"expected {self.n_trees} trees, found {roots.size}")
         if not (roots[0] == 0 and (roots[1:] > roots[:-1]).all() and roots[-1] < n):
@@ -565,8 +553,7 @@ class DecisionTreeModel(Classifier):
         if not ((value >= 0) & (value <= 1)).all():
             raise ValueError(f"value must hold {k} class fractions in [0, 1] per node")
         self.forest_ = Forest(
-            feature.astype(np.int32), threshold.astype(np.float64, copy=False),
-            left.astype(np.int32), value.astype(np.float64, copy=False).reshape(n, k),
+            feature.astype(np.int32), threshold, left.astype(np.int32), value,
             roots.astype(np.int32),
         )
 

@@ -37,16 +37,6 @@ class Scaler:
         out[:, nonconstant] /= self.std[nonconstant]
         return out
 
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Scaler":
-        return cls(
-            mean=np.asarray(doc["mean"], dtype=np.float64),
-            std=np.asarray(doc["std"], dtype=np.float64),
-        )
-
 
 @dataclass
 class FeatureMatrix:

@@ -75,6 +75,29 @@ def test_duplicate_model_names_rejected(bench_setup):
         run_benchmark(matrix, plan, ["dummy", "knn", "dummy"], BenchOptions())
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"folds": 2.5}, "folds must be a non-negative integer"),
+        ({"folds": True}, "folds must be a non-negative integer"),
+        ({"folds": -1}, "folds must be a non-negative integer"),
+        ({"folds": 1}, "folds must be 0 or at least 2"),
+        ({"workers": 1.5}, "workers must be a non-negative integer"),
+        ({"workers": True}, "workers must be a non-negative integer"),
+        ({"workers": 0}, "workers must be at least 1"),
+    ],
+)
+def test_options_hold_folds_and_workers_to_integers(options, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BenchOptions(**options)
+
+
+def test_options_accept_folds_0_or_at_least_2_and_workers_at_least_1():
+    for folds, workers in ((0, 1), (2, 1), (5, 4)):
+        options = BenchOptions(folds=folds, workers=workers)
+        assert (options.folds, options.workers) == (folds, workers)
+
+
 def test_leaderboard_is_sorted_by_the_rule(bench_setup):
     matrix, plan = bench_setup
     leaderboard = run_benchmark(matrix, plan, FAST_MODELS, BenchOptions(seed=42))

@@ -359,7 +359,7 @@ def test_model_file_with_an_integer_beyond_the_digit_limit_is_model_error(
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 @pytest.mark.parametrize(
     "name, path",
-    [("knn", ("state", "train_rows", 0, 0)), ("ridge", ("state", "weights", 0, 0)),
+    [("knn", ("state", "train_rows", 0)), ("ridge", ("state", "weights", 0)),
      ("decision_tree", ("state", "threshold", 0))],
     ids=["knn", "ridge", "tree-threshold"],
 )
@@ -372,7 +372,7 @@ def test_model_file_with_a_non_finite_number_is_model_error(
 
 def test_model_file_whose_scores_overflow_is_model_error(synth_csv, tmp_path, capsys):
     # Finite on load; squaring a row's distance to the mean overflows.
-    err = _predict_with_literal("gaussian_nb", ("state", "means", 0, 0), "1e200",
+    err = _predict_with_literal("gaussian_nb", ("state", "means", 0), "1e200",
                                 synth_csv, tmp_path, capsys)
     assert err == "model error: overflow encountered in multiply\n"
 
@@ -382,8 +382,9 @@ def test_knn_file_with_fewer_rows_than_k_is_model_error(synth_csv, tmp_path, cap
     assert main(["train", "--data", str(synth_csv), "--model", "knn",
                  "--output", str(model_file)]) == EXIT_OK
     document = json.loads(model_file.read_text())
-    for key in ("train_rows", "train_codes"):
-        document["state"][key] = document["state"][key][:3]
+    state = document["state"]
+    state["train_rows"] = state["train_rows"][: 3 * state["n_features"]]
+    state["train_codes"] = state["train_codes"][:3]
     model_file.write_text(json.dumps(document))
     capsys.readouterr()
     assert main(["predict", "--data", str(synth_csv),
@@ -400,6 +401,17 @@ def _root_onto_grandchildren(document) -> None:
     left[0] = left[child]
 
 
+def _leaf_with_a_feature(document) -> None:
+    """Give the first leaf feature 0 and a threshold above every value.
+
+    Read as a split, the leaf would send every row to its `left`, -1, and
+    predict would finish rather than loop, so the leaf check alone rejects it.
+    """
+    state = document["state"]
+    leaf = state["left"].index(-1)
+    state["feature"][leaf], state["threshold"][leaf] = 0, 1e300
+
+
 @pytest.mark.parametrize(
     "name, edit, message",
     [
@@ -408,29 +420,31 @@ def _root_onto_grandchildren(document) -> None:
         ("dummy", lambda doc: doc["state"].update(classes=[2, 1, 0]),
          "classes must be a strictly increasing"),
         ("knn", lambda doc: doc["scaler"].update(mean=[0.0] * 3),
-         "the scaler must hold 13 finite means"),
+         "mean must hold d = 13 numbers, found 3"),
         ("knn", lambda doc: doc["scaler"].update(std=[-1.0] * 13), "non-negative stds"),
         ("decision_tree", lambda doc: doc["state"].update(roots=[]),
          "expected 1 trees, found 0"),
         ("knn", lambda doc: doc["state"]["train_codes"].__setitem__(0, 9),
          "train_codes must lie in 0..2"),
-        ("gaussian_nb", lambda doc: doc["state"]["variances"][0].__setitem__(0, 0.0),
+        ("gaussian_nb", lambda doc: doc["state"]["variances"].__setitem__(0, 0.0),
          "variances must be finite and positive"),
-        ("gaussian_nb", lambda doc: doc["state"]["variances"][1].__setitem__(2, -1.0),
+        # Row 1, column 2 of the (k, d) = (3, 13) variances, stored flat.
+        ("gaussian_nb", lambda doc: doc["state"]["variances"].__setitem__(15, -1.0),
          "variances must be finite and positive"),
-        ("ridge", lambda doc: doc["state"].update(weights=doc["state"]["weights"][:1]),
-         "weights must have shape (k, d) = (3, 13), found (1, 13)"),
+        ("ridge", lambda doc: doc["state"].update(weights=doc["state"]["weights"][:13]),
+         "weights must hold k * d = 39 numbers, found 13"),
         ("nearest_centroid",
-         lambda doc: doc["state"].update(centroids=doc["state"]["centroids"][:2]),
-         "centroids must have shape (k, d) = (3, 13), found (2, 13)"),
+         lambda doc: doc["state"].update(centroids=doc["state"]["centroids"][:26]),
+         "centroids must hold k * d = 39 numbers, found 26"),
+        # train_codes, the first one-dimensional array naming m, binds it.
         ("knn", lambda doc: doc["state"].update(train_codes=doc["state"]["train_codes"][:-1]),
-         "train_codes must have shape (m) = "),
-        ("knn", lambda doc: doc["state"]["train_rows"][0].__setitem__(0, 10**400),
-         "int too large to convert to float"),
-        ("knn", lambda doc: doc["state"]["train_rows"][0].__setitem__(0, 1e200),
+         "train_rows must hold m * d = "),
+        ("knn", lambda doc: doc["state"]["train_rows"].__setitem__(0, 10**400),
+         "train_rows must be a flat list of numbers"),
+        ("knn", lambda doc: doc["state"]["train_rows"].__setitem__(0, 1e200),
          "train_rows must square to finite numbers"),
-        ("ridge", lambda doc: doc["state"]["weights"][0].__setitem__(0, -(10**400)),
-         "int too large to convert to float"),
+        ("ridge", lambda doc: doc["state"]["weights"].__setitem__(0, -(10**400)),
+         "weights must be a flat list of numbers"),
         ("decision_tree", lambda doc: doc["state"]["left"].__setitem__(0, 0),
          "child indices must point forward within their tree"),
         ("decision_tree",
@@ -443,7 +457,7 @@ def _root_onto_grandchildren(document) -> None:
         ("decision_tree", lambda doc: doc["state"]["value"].__setitem__(-1, -0.5),
          "value must hold 3 class fractions in [0, 1] per node"),
         ("decision_tree", lambda doc: doc["state"]["threshold"].pop(),
-         "feature, threshold and left must hold one entry per node"),
+         "threshold must hold n = "),
         ("random_forest", lambda doc: doc["state"]["roots"].pop(),
          "expected 100 trees, found 99"),
         ("random_forest", lambda doc: doc["state"]["roots"].append(doc["state"]["roots"][-1] + 1),
@@ -469,6 +483,7 @@ def _root_onto_grandchildren(document) -> None:
          "child indices must point forward within their tree"),
         ("decision_tree", _root_onto_grandchildren,
          "every node but a root must be the child of one node"),
+        ("decision_tree", _leaf_with_a_feature, "a leaf must hold -1 in feature and left"),
         *(("decision_tree", lambda doc, value=value: doc["state"].update(n_features=value),
            "n_features must be a non-negative integer") for value in ("13", " 13 ", 13.9, True)),
     ],
@@ -481,6 +496,7 @@ def _root_onto_grandchildren(document) -> None:
          "forest-99-trees", "forest-101-trees", "tree-root-not-0", "forest-roots-not-from-0",
          "forest-roots-descending", "forest-roots-repeated", "tree-root-beyond-end",
          "forest-root-is-a-child", "forest-child-in-next-tree", "tree-node-with-two-parents",
+         "tree-leaf-with-a-feature",
          "n-features-string", "n-features-padded-string",
          "n-features-float", "n-features-bool"],
 )

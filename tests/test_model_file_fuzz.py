@@ -11,6 +11,11 @@ forest included, and of the scaler to each of a few extreme magnitudes, which
 random edits rarely reach. Another moves, drops, adds and reorders a tree
 model's roots, the node numbers at which its trees start.
 
+Every declared array, the scaler's included, must hold numbers of its
+declared kind: a third sweep puts a string, null, a nested list and (in an
+integer array) a fraction at its start, or makes it all `true`, and `predict`
+must exit 3.
+
 `predict` must then either exit 0 and write one valid line per row, or exit
 3 with a one-line message; it never exits 1 or 2, and never prints a
 traceback or a warning. The run is derandomized and keeps no example
@@ -29,7 +34,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowbench.classifiers import MODEL_NAMES
+from flowbench.classifiers import MODEL_CLASSES, MODEL_NAMES
 from flowbench.cli import EXIT_MODEL, EXIT_OK, main
 from flowbench.flow_data import CLASS_TOKENS, records_to_csv
 from flowbench.synth import generate_records
@@ -142,11 +147,9 @@ def test_predict_on_an_edited_model_file_exits_0_or_3(
 
 
 def first_numbers(document):
-    """(array, label) of every fitted array and of the scaler's arrays."""
-    found = []
-    for field, value in document["state"].items():
-        if isinstance(value, list):
-            found.append((value[0] if isinstance(value[0], list) else value, field))
+    """(array, label) of every list in the state and of the scaler's arrays."""
+    found = [(value, field) for field, value in document["state"].items()
+             if isinstance(value, list)]
     return found + [(document["scaler"][key], f"scaler.{key}") for key in ("mean", "std")]
 
 
@@ -159,6 +162,21 @@ def test_predict_with_an_extreme_number_in_each_array_exits_0_or_3(saved, name):
             array, label = first_numbers(document)[at]
             array[0] = value
             check_predict(flows, document, f"{label}[0] = {value!r}")
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_predict_with_a_non_number_in_each_declared_array_exits_3(saved, name):
+    flows, texts = saved
+    declared = [("state", key, kind) for key, (kind, *_) in MODEL_CLASSES[name]._fitted.items()]
+    for section, key, kind in [*declared, ("scaler", "mean", float), ("scaler", "std", float)]:
+        length = len(json.loads(texts[name])[section][key])
+        firsts = ["1.5", None, [0.0], *([0.5] if kind is int else [])]
+        # (start, stop, value): the entries start:stop all become value.
+        for start, stop, value in [*((0, 1, first) for first in firsts), (0, length, True)]:
+            document = json.loads(texts[name])
+            document[section][key][start:stop] = [value] * (stop - start)
+            edit = f"{section}.{key}[{start}:{stop}] = {value!r}"
+            assert check_predict(flows, document, edit) == EXIT_MODEL, edit
 
 
 @pytest.mark.parametrize("name", TREE_MODELS)
@@ -177,8 +195,8 @@ def test_predict_with_edited_roots_exits_0_or_3(saved, name):
         check_predict(flows, document, f"roots = {edited!r}")
 
 
-def check_predict(flows, document, edit=None) -> None:
-    """predict on the edited document exits 3 with one line, or 0 with one line per row."""
+def check_predict(flows, document, edit=None) -> int:
+    """predict's exit code on the edited document: 3 with one line, or 0 with one line per row."""
     path = flows.with_name("edited.json")
     path.write_text(json.dumps(document))
     out, err = io.StringIO(), io.StringIO()
@@ -190,7 +208,7 @@ def check_predict(flows, document, edit=None) -> None:
     if code == EXIT_MODEL:
         assert err.getvalue().startswith("model error: ")
         assert err.getvalue().count("\n") == 1
-        return
+        return code
     assert code == EXIT_OK, (edit, err.getvalue())
     assert err.getvalue() == ""
     header, *lines = out.getvalue().splitlines()
@@ -199,3 +217,4 @@ def check_predict(flows, document, edit=None) -> None:
     for row, line in enumerate(lines):
         index, code, token = line.split(",")
         assert index == str(row) and CLASS_TOKENS[int(code)] == token
+    return EXIT_OK

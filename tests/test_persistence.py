@@ -52,19 +52,21 @@ def test_round_trip_reproduces_predictions_exactly(name, trained_setup, tmp_path
     np.testing.assert_array_equal(
         model.predict_scores(probe_rows), artifact.model.predict_scores(probe_rows)
     )
-    for attr in model._fitted:
-        before, after = getattr(model, attr), getattr(artifact.model, attr)
-        assert after.dtype == before.dtype, attr
-        assert after.shape == before.shape, attr
+    restored = artifact.model._state()
+    for name, before in model._state().items():
+        after = restored[name]
+        assert after.dtype == before.dtype, name
+        assert after.shape == before.shape, name
         np.testing.assert_array_equal(after, before)
 
 
 def test_unknown_format_version_rejected(tmp_path):
     # Format 1 files also stored each model's tunable hyperparameters,
-    # format 2 files stored each tree as nested node objects, and format 3
-    # files stored each tree's arrays, a right child array among them.
+    # format 2 files stored each tree as nested node objects, format 3
+    # files stored each tree's arrays, a right child array among them, and
+    # format 4 files stored each two-dimensional non-tree array as nested lists.
     path = tmp_path / "model.json"
-    for version in (1, 2, 3, 5):
+    for version in (1, 2, 3, 4, 6):
         path.write_text(json.dumps({"format_version": version, "model": "dummy"}))
         with pytest.raises(
             ModelFormatError, match=f"^unsupported model format_version: {version}$"

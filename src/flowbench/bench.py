@@ -230,17 +230,11 @@ def _fmt(value: float | None) -> str:
 
 
 def to_json_dict(leaderboard: Leaderboard) -> dict:
-    reports = []
-    for r in leaderboard.reports:
-        entry = {
-            "model": r.model,
-            "status": r.status,
-            **{name: getattr(r, name) for name in _METRIC_FIELDS},
-            "confusion": r.confusion,
-        }
-        if r.cv is not None:
-            entry["cv"] = asdict(r.cv)
-        reports.append(entry)
+    """The versioned JSON document: each report's fields, a null `cv` left out."""
+    reports = [
+        {name: value for name, value in asdict(r).items() if name != "cv" or value is not None}
+        for r in leaderboard.reports
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "metadata": leaderboard.metadata,
@@ -249,21 +243,29 @@ def to_json_dict(leaderboard: Leaderboard) -> dict:
 
 
 def leaderboard_from_json(text: str) -> Leaderboard:
-    """Parse the JSON rendering back into an equal Leaderboard."""
+    """Parse the JSON rendering back into an equal Leaderboard.
+
+    Raises ValueError for another schema version and for a report, or a
+    report's `cv`, that is not an object holding exactly its class's fields.
+    """
     document = json.loads(text)
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported leaderboard schema_version: {version!r}")
     reports = []
-    for entry in document["reports"]:
-        cv_doc = entry.get("cv")
-        reports.append(
-            EvalReport(
-                model=entry["model"],
-                status=entry["status"],
-                **{name: entry[name] for name in _METRIC_FIELDS},
-                confusion=entry["confusion"],
-                cv=CVResult(**cv_doc) if cv_doc is not None else None,
-            )
-        )
+    for i, entry in enumerate(document["reports"]):
+        if isinstance(entry, dict):
+            entry.setdefault("cv", None)
+        report = _from_fields(EvalReport, entry, f"report {i}")
+        if report.cv is not None:
+            report.cv = _from_fields(CVResult, report.cv, f"report {i} cv")
+        reports.append(report)
     return Leaderboard(reports=reports, metadata=document["metadata"])
+
+
+def _from_fields(cls, entry, what: str):
+    """A `cls` from a JSON object that holds exactly the fields of `cls`."""
+    names = [f.name for f in fields(cls)]
+    if not isinstance(entry, dict) or entry.keys() != set(names):
+        raise ValueError(f"{what} is not an object of exactly the fields {', '.join(names)}")
+    return cls(**entry)

@@ -188,24 +188,22 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_inspect(args) -> int:
-    summary = summarize(_load_records(args.data))
+    summary = summarize(_load_records(args.data)).to_json_dict()
     if args.format == "json":
-        _emit(json.dumps(summary.to_json_dict(), indent=2), args.output)
+        _emit(json.dumps(summary, indent=2), args.output)
         return EXIT_OK
     lines = [
-        f"{summary.row_count} rows",
-        f"{len(summary.distinct_counts)} data columns",
-        f"{summary.family_count} families",
-        "classes:",
+        f"{summary['row_count']} rows",
+        f"{summary['column_count']} data columns",
+        f"{summary['family_count']} families",
     ]
-    for cls, count in summary.class_counts.items():
-        lines.append(f"  {cls.token}: {count}")
-    lines.append("families:")
-    for family, count in summary.family_counts.items():
-        lines.append(f"  {family}: {count}")
-    lines.append("distinct values per column:")
-    for column, count in summary.distinct_counts.items():
-        lines.append(f"  {column}: {count}")
+    for heading, key in (
+        ("classes", "class_counts"),
+        ("families", "family_counts"),
+        ("distinct values per column", "distinct_counts"),
+    ):
+        lines.append(f"{heading}:")
+        lines.extend(f"  {name}: {count}" for name, count in summary[key].items())
     _emit("\n".join(lines), args.output)
     return EXIT_OK
 
@@ -239,7 +237,7 @@ def _cmd_roc(args) -> int:
     except Exception as exc:
         raise _ModelError(str(exc)) from exc
     curve = roc_curves(matrix.labels[plan.test_indices], scores)
-    _emit(roc_to_csv(curve, CLASS_TOKENS), args.output)
+    _emit(roc_to_csv(curve), args.output)
     return EXIT_OK
 
 

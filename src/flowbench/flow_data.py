@@ -291,7 +291,7 @@ def _parse_stream(stream) -> FlowTable:
     names = [cell.strip() for cell in (header[1:] if drop_index else header)]
     duplicates = sorted(name for name, count in Counter(names).items() if count > 1)
     if duplicates:
-        raise SchemaError(f"duplicate column(s): {', '.join(duplicates)}")
+        raise SchemaError(f"duplicate column(s): {_listed(duplicates)}")
     missing = [c for c in CANONICAL_COLUMNS if c not in names]
     extra = [c for c in names if c not in CANONICAL_COLUMNS]
     if missing or extra:
@@ -299,7 +299,7 @@ def _parse_stream(stream) -> FlowTable:
         if missing:
             parts.append("missing column(s): " + ", ".join(missing))
         if extra:
-            parts.append("unexpected column(s): " + ", ".join(extra))
+            parts.append("unexpected column(s): " + _listed(extra))
         raise SchemaError("; ".join(parts))
 
     offset = 1 if drop_index else 0
@@ -321,7 +321,8 @@ def _parse_stream(stream) -> FlowTable:
             break
         if flat:
             try:
-                _append_columns(builders, [flat[p::width] for p in positions])
+                for builder, p in zip(builders, positions):
+                    builder.parts.append(builder.parse_cells(flat[p::width]))
             except (ValueError, OverflowError):
                 _raise_first_row_error(csv.reader(block), first_row, positions, width)
                 raise
@@ -330,6 +331,11 @@ def _parse_stream(stream) -> FlowTable:
     columns = {header: b.column() for header, b in zip(CANONICAL_COLUMNS, features)}
     classes, codes = labels.column()
     return FlowTable(columns, np.array(classes, dtype=np.int64)[codes])
+
+
+def _listed(names) -> str:
+    """Header names for a message, an unnamed cell shown as ''."""
+    return ", ".join(name or "''" for name in names)
 
 
 def _split_block(block: list[str], width: int) -> list[str] | None:
@@ -368,7 +374,8 @@ def _parse_rows(builders, reader, first_row, positions, width) -> None:
                 if set(map(len, rows)) != {width}:
                     raise ValueError("a row has the wrong field count")
                 cells = list(zip(*rows))
-                _append_columns(builders, [cells[p] for p in positions])
+                for builder, p in zip(builders, positions):
+                    builder.parts.append(builder.parse_cells(cells[p]))
             except (ValueError, OverflowError):
                 _raise_first_row_error(chunk, first_row, positions, width)
                 raise
@@ -396,16 +403,6 @@ def _chunks(items, rows_read: int = 0) -> Iterator[list]:
             return
         rows_read += len(chunk)
         yield chunk
-
-
-def _append_columns(builders, columns) -> None:
-    """Parse each canonical column's cells whole and append the values to its builder.
-
-    Raises ValueError (or OverflowError) when any row or cell fails a check.
-    """
-    parsed = [builder.parse_cells(cells) for builder, cells in zip(builders, columns)]
-    for builder, values in zip(builders, parsed):
-        builder.parts.append(values)
 
 
 def _raise_first_row_error(chunk, first_row, positions, width) -> None:

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from flowbench.features import FeatureMatrix
-from flowbench.flow_data import CANONICAL_COLUMNS, csv_text
+from flowbench.flow_data import CANONICAL_COLUMNS, CLASS_TOKENS, csv_text
 
 
 @dataclass
@@ -245,11 +245,11 @@ def correlation_to_csv(corr: CorrelationMatrix) -> str:
     return csv_text(rows)
 
 
-def roc_to_csv(curve: RocCurve, class_tokens: Sequence[str] | None = None) -> str:
-    """One row per curve point: class, auc, threshold, fpr, tpr."""
+def roc_to_csv(curve: RocCurve) -> str:
+    """One row per curve point: class token, auc, threshold, fpr, tpr."""
     rows = [["class", "auc", "threshold", "fpr", "tpr"]]
     for code, points in zip(curve.classes, curve.per_class):
-        label = class_tokens[code] if class_tokens is not None else str(code)
+        token = CLASS_TOKENS[code]
         for t, x, y in zip(points.thresholds, points.fpr, points.tpr):
-            rows.append([label, repr(points.auc), repr(float(t)), repr(float(x)), repr(float(y))])
+            rows.append([token, repr(points.auc), repr(float(t)), repr(float(x)), repr(float(y))])
     return csv_text(rows)

@@ -285,20 +285,7 @@ def test_json_round_trip(bench_setup):
     matrix, plan = bench_setup
     leaderboard = run_benchmark(matrix, plan, FAST_MODELS, BenchOptions(seed=42))
     text = render(leaderboard, "json")
-    restored = leaderboard_from_json(text)
-    stripped = Leaderboard(
-        reports=[
-            type(r)(**{
-                field: getattr(r, field)
-                for field in ("model", "status", "accuracy", "balanced_accuracy",
-                              "roc_auc_macro", "f1_weighted", "f1_macro",
-                              "time_taken_s", "confusion", "cv")
-            })
-            for r in leaderboard.reports
-        ],
-        metadata=leaderboard.metadata,
-    )
-    assert restored == stripped
+    assert leaderboard_from_json(text) == leaderboard
     with pytest.raises(ValueError, match="schema_version"):
         leaderboard_from_json(json.dumps({"schema_version": 99, "reports": []}))
 
@@ -431,3 +418,22 @@ def test_render_json_golden():
     text = render(_golden_leaderboard(), "json")
     assert text == json.dumps(expected, indent=2)
     assert leaderboard_from_json(text) == _golden_leaderboard()
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda reports: reports[1].pop("status"), "report 1 is not an object"),
+        (lambda reports: reports[1].update(fit_s=0.1), "report 1 is not an object"),
+        (lambda reports: reports.append("knn"), "report 3 is not an object"),
+        (lambda reports: reports[0].update(cv=[0.1, 0.05, 0.0]), "report 0 cv is not"),
+        (lambda reports: reports[0]["cv"].pop("k"), "report 0 cv is not"),
+    ],
+    ids=["missing field", "unknown field", "report not an object", "cv not an object",
+         "cv missing a field"],
+)
+def test_malformed_leaderboard_report_is_value_error(damage, message):
+    document = json.loads(render(_golden_leaderboard(), "json"))
+    damage(document["reports"])
+    with pytest.raises(ValueError, match=message):
+        leaderboard_from_json(json.dumps(document))

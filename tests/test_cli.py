@@ -11,7 +11,7 @@ from flowbench.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from flowbench.flow_data import parse_dataset, records_to_csv
 from flowbench.synth import generate_records
 
-from conftest import FIGURE_ROW, csv_bytes
+from conftest import FIGURE_ROW, HEADER, csv_bytes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,6 +50,36 @@ def test_inspect_json_format(synth_csv, capsys):
     assert sum(doc["class_counts"].values()) == 240
 
 
+def test_inspect_text_and_json_golden(tmp_path, capsys):
+    path = tmp_path / "three.csv"
+    path.write_bytes(csv_bytes(
+        "50,TCP,A,WannaCry,1,1DA11mPS,1BonuSr7,1,500,5,A,Botnet,5061,SS",
+        "60,UDP,A,Locky,1,1DA11mPS,1BonuSr7,1,500,5,A,Botnet,5061,A",
+        "60,TCP,A,WannaCry,1,1DA11mPS,1BonuSr7,2,500,5,A,Botnet,5061,A",
+    ))
+    distinct = {"Time": 2, "Protocol": 2, "Flag": 1, "Family": 2, "Clusters": 1,
+                "SeedAddress": 1, "ExpAddress": 1, "BTC": 2, "USD": 1,
+                "Netflow_Bytes": 1, "IPaddress": 1, "Threats": 1, "Port": 1,
+                "Prediction": 2}
+    assert main(["inspect", "--data", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "3 rows\n14 data columns\n2 families\n"
+        "classes:\n  A: 2\n  S: 0\n  SS: 1\n"
+        "families:\n  WannaCry: 2\n  Locky: 1\n"
+        "distinct values per column:\n"
+        + "".join(f"  {column}: {count}\n" for column, count in distinct.items())
+    )
+    assert main(["inspect", "--data", str(path), "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == json.dumps({
+        "row_count": 3,
+        "column_count": 14,
+        "family_count": 2,
+        "distinct_counts": distinct,
+        "family_counts": {"WannaCry": 2, "Locky": 1},
+        "class_counts": {"A": 2, "S": 0, "SS": 1},
+    }, indent=2) + "\n"
+
+
 def test_inspect_env_var_supplies_default_data(synth_csv, capsys, monkeypatch):
     monkeypatch.setenv("UGRANSOME_DATA", str(synth_csv))
     assert main(["inspect"]) == EXIT_OK
@@ -71,6 +101,13 @@ def test_malformed_csv_is_data_error(tmp_path, capsys):
     bad.write_text("Time,Protocol\n1,TCP\n")
     assert main(["inspect", "--data", str(bad)]) == EXIT_DATA
     assert "missing column" in capsys.readouterr().err
+
+
+def test_unnamed_header_cell_is_named_in_the_data_error(tmp_path, capsys):
+    path = tmp_path / "trailing_comma.csv"
+    path.write_text(HEADER + ",\n" + FIGURE_ROW + ",\n")
+    assert main(["inspect", "--data", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: unexpected column(s): ''\n"
 
 
 def test_unreadable_csv_line_is_data_error(synth_csv, tmp_path, capsys):
@@ -617,6 +654,15 @@ def test_bench_on_one_class_ranks_every_model_without_roc_auc(synth_csv, tmp_pat
     header, *rows = capsys.readouterr().out.splitlines()
     assert "ROC AUC" in header and len(rows) == 5
     assert all("error" not in row for row in rows)
+
+
+def test_roc_on_one_class_is_data_error(synth_csv, tmp_path, capsys):
+    # bench ranks such a file without ROC AUC; roc has no curve to write.
+    path = _two_class_csv(synth_csv, tmp_path, ("S",))
+    assert main(["roc", "--data", str(path), "--model", "dummy"]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: ROC requires both the class and its complement present\n"
+    )
 
 
 @pytest.mark.parametrize("column", ["Time", "USD"])

@@ -294,6 +294,16 @@ def test_duplicate_column_is_schema_error():
         parse_dataset(text)
 
 
+@pytest.mark.parametrize(
+    "suffix, message",
+    [(",", "unexpected column(s): ''"), (",,", "duplicate column(s): ''")],
+)
+def test_unnamed_header_cell_past_the_first_is_shown_as_quotes(suffix, message):
+    with pytest.raises(SchemaError) as info:
+        parse_dataset((HEADER + suffix + "\n").encode())
+    assert str(info.value) == message
+
+
 def test_field_count_mismatch_is_row_error():
     with pytest.raises(RowError, match="expected 14 fields"):
         parse_dataset(csv_bytes(FIGURE_ROW + ",extra"))

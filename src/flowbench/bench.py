@@ -245,22 +245,41 @@ def to_json_dict(leaderboard: Leaderboard) -> dict:
 def leaderboard_from_json(text: str) -> Leaderboard:
     """Parse the JSON rendering back into an equal Leaderboard.
 
-    Raises ValueError for another schema version and for a report, or a
-    report's `cv`, that is not an object holding exactly its class's fields.
+    Raises ValueError for another schema version, for a document that is not
+    an object with a `reports` list and a `metadata` object, and for a
+    report, or a report's `cv`, that is not an object holding exactly its
+    class's fields with values of their types.
     """
     document = json.loads(text)
+    if not isinstance(document, dict):
+        raise ValueError("a leaderboard is a JSON object")
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported leaderboard schema_version: {version!r}")
+    entries, metadata = document.get("reports"), document.get("metadata")
+    if not isinstance(entries, list):
+        raise ValueError("leaderboard reports must be a list")
+    if not isinstance(metadata, dict):
+        raise ValueError("leaderboard metadata must be an object")
     reports = []
-    for i, entry in enumerate(document["reports"]):
+    for i, entry in enumerate(entries):
         if isinstance(entry, dict):
             entry.setdefault("cv", None)
         report = _from_fields(EvalReport, entry, f"report {i}")
         if report.cv is not None:
             report.cv = _from_fields(CVResult, report.cv, f"report {i} cv")
         reports.append(report)
-    return Leaderboard(reports=reports, metadata=document["metadata"])
+    return Leaderboard(reports=reports, metadata=metadata)
+
+
+# The JSON values a field of each annotation may hold; a bool is never a
+# number here. Fields of other annotations are not checked.
+_JSON_TYPES = {
+    "str": (str,),
+    "int": (int,),
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+}
 
 
 def _from_fields(cls, entry, what: str):
@@ -268,4 +287,8 @@ def _from_fields(cls, entry, what: str):
     names = [f.name for f in fields(cls)]
     if not isinstance(entry, dict) or entry.keys() != set(names):
         raise ValueError(f"{what} is not an object of exactly the fields {', '.join(names)}")
+    for field in fields(cls):
+        value, kinds = entry[field.name], _JSON_TYPES.get(field.type)
+        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ValueError(f"{what} field {field.name} is {value!r}, not {field.type}")
     return cls(**entry)

@@ -1,4 +1,4 @@
-"""One-vs-rest linear models: SGD family (hinge, log, perceptron) and ridge.
+"""One-vs-rest linear models: SGD (hinge, perceptron), logistic regression and ridge.
 
 The SGD family takes per-sample steps. Each epoch visits the rows in a fresh
 `rng.permutation` order; row t, counted across epochs, gets the rate
@@ -6,10 +6,9 @@ lr_t = learning_rate / sqrt(t). Each step first decays the weights by
 d_t = 1 - lr_t * l2, where the perceptron's l2 is 0. A row x with +/-1
 target y and score z = W.x + b then adds c * x to its class's weights and c
 to its bias, where c = lr_t * y if y*z < 1 (hinge) or y*z <= 0
-(perceptron), and c = lr_t * (y - tanh(z/2)) / 2 for log loss: that is
--lr_t * (sigmoid(z) - (y+1)/2), written so it cannot overflow. Each epoch
-ends with the full-pass objective; training stops when it improves by less
-than `tol`. learning_rate, l2 and tol are class constants.
+(perceptron). Each epoch ends with the full-pass objective; training stops
+when it improves by less than `tol`. learning_rate, l2 and tol are class
+constants.
 
 One kernel takes these steps BLOCK_ROWS rows at a time:
 
@@ -33,6 +32,13 @@ row, so the weights agree with the row-by-row loop to rounding (max |dW|
 1.7e-11 after 1000 epochs on 800 rows), and a same-seed refit is
 bit-identical.
 
+Logistic regression minimizes, for each class, the mean log loss of its
++/-1 targets over the rows [x, 1] plus l2/2 ||w||^2, the bias unpenalized, by
+Newton's method: each iteration is one full pass that builds the gradient
+and the Hessian, solves for the step and halves it until the objective
+falls enough (Armijo). A class stops once its gradient's max norm is below
+`tol`, or at the `max_epochs` iteration cap with its last iterate.
+
 Ridge solves its normal equations in closed form on +/-1 class targets.
 """
 
@@ -48,10 +54,6 @@ from flowbench.classifiers.base import Classifier, non_negative_int
 # Rows per block of the SGD kernel: two small products per block against a
 # Python recurrence whose cost grows with the block.
 BLOCK_ROWS = 16
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
 def margin(model, class_code: int) -> float:
@@ -116,11 +118,9 @@ class _SGDBase(_LinearModel):
     def _sgd_pass(self, W, bias, rows, row_targets, rates):
         """Take one step per row of `rows`, in order; update W and bias in place."""
         lam = self.l2
-        log = self._loss == "log"
         # y*z <= 0 is y*z below the smallest positive float, so hinge and
         # perceptron share one comparison.
         edge = 1.0 if self._loss == "hinge" else math.ulp(0.0)
-        tanh = math.tanh
         start, n = 0, rows.shape[0]
         while start < n:
             lr = rates[start : start + BLOCK_ROWS].tolist()
@@ -144,9 +144,7 @@ class _SGDBase(_LinearModel):
                     raw[cls], gram, scales, lr, block_targets[cls], inverse
                 ):
                     z = s * (r + sum(map(mul, v, g)) if v else r) + b
-                    if log:
-                        c = lr_j * 0.5 * (y - tanh(0.5 * z))
-                    elif y * z < edge:
+                    if y * z < edge:
                         c = lr_j * y
                     else:
                         idle += 1
@@ -171,9 +169,6 @@ class _SGDBase(_LinearModel):
         if self._loss == "hinge":
             data = np.maximum(0.0, 1.0 - margins).sum() / n
             return float(data + 0.5 * self.l2 * np.sum(W * W))
-        if self._loss == "log":
-            data = np.logaddexp(0.0, -margins).sum() / n
-            return float(data + 0.5 * self.l2 * np.sum(W * W))
         return float(np.maximum(0.0, -margins).sum() / n)
 
 
@@ -184,14 +179,69 @@ class LinearSVMModel(_SGDBase):
     _loss = "hinge"
 
 
-class LogisticRegressionModel(_SGDBase):
-    """One-vs-rest logistic regression; scores are normalized sigmoids."""
+class LogisticRegressionModel(_LinearModel):
+    """One-vs-rest logistic regression fitted by Newton's method; scores are normalized sigmoids.
+
+    `max_epochs` caps the Newton iterations of each class. `seed` is taken
+    and stored like the SGD models' seed, but the fit draws nothing.
+    """
 
     name = "logistic_regression"
-    _loss = "log"
+    l2 = 1e-4
+    tol = 1e-9  # a class's fit stops once its gradient's max norm is below this
+
+    def __init__(self, max_epochs: int = 1000, seed: int = 0):
+        super().__init__()
+        self.max_epochs = non_negative_int(max_epochs, "max_epochs")
+        self.seed = non_negative_int(seed, "seed")
+
+    def _fit(self, X, codes):
+        n, d = X.shape
+        rows = np.hstack([X, np.ones((n, 1))])
+        penalty = np.append(np.full(d, self.l2), 0.0)  # the bias is not penalized
+        theta = np.array([self._newton(rows, y, penalty) for y in self._targets(codes).T])
+        self.weights_ = theta[:, :d]
+        self.bias_ = theta[:, d]
+
+    def _newton(self, rows, y, penalty):
+        """Minimize the mean of log(1 + exp(-y * rows @ theta)) + penalty/2 . theta**2."""
+        n = y.size
+        theta = np.zeros(rows.shape[1])
+
+        def objective(theta):
+            return np.logaddexp(0.0, -y * (rows @ theta)).mean() + 0.5 * penalty @ theta**2
+
+        loss = objective(theta)
+        for _ in range(self.max_epochs):
+            margins = y * (rows @ theta)
+            log_miss = -np.logaddexp(0.0, margins)  # log sigmoid(-y z)
+            gradient = penalty * theta - rows.T @ (y * np.exp(log_miss)) / n
+            if np.abs(gradient).max() < self.tol:
+                break
+            # sigmoid(z) * sigmoid(-z), in log space so it stays accurate at large |z|
+            curvature = np.exp(log_miss - np.logaddexp(0.0, -margins))
+            hessian = (rows.T * curvature) @ rows / n + np.diag(penalty)
+            try:
+                step = np.linalg.solve(hessian, -gradient)
+                if not np.isfinite(step).all():
+                    raise np.linalg.LinAlgError
+            except np.linalg.LinAlgError:
+                raise ValueError("the Newton step has no finite solution in float64") from None
+            # Halve the step until the objective falls by at least 1e-4 of the
+            # fall its slope predicts; a NaN objective never passes. The loop
+            # ends at the latest once the step and its predicted fall both
+            # vanish in float64, where the trial equals the current objective.
+            rate, slope = 1.0, gradient @ step
+            while not (trial := objective(theta + rate * step)) <= loss + 1e-4 * rate * slope:
+                rate *= 0.5
+            theta, loss = theta + rate * step, trial
+        return theta
 
     def _scores(self, X):
-        p = _sigmoid(X @ self.weights_.T + self.bias_)
+        # The sigmoids normalized, as a softmax of their logs: no sigmoid
+        # rounds to 0 or 1, so classes keep their order at any score.
+        log_p = -np.logaddexp(0.0, -(X @ self.weights_.T + self.bias_))
+        p = np.exp(log_p - log_p.max(axis=1, keepdims=True))
         return p / p.sum(axis=1, keepdims=True)
 
 

@@ -235,7 +235,8 @@ def test_render_empty_leaderboard_is_header_only():
 
 
 # Holdout confusion matrices of the 14 default models on bench_setup's data,
-# recorded before the models' hyperparameters became class constants.
+# recorded before the models' hyperparameters became class constants;
+# logistic_regression's since its fit became Newton's method.
 DEFAULT_MODEL_CONFUSIONS = {
     "bagging": [[19, 0, 2], [0, 18, 1], [0, 0, 21]],
     "bernoulli_nb": [[21, 0, 0], [2, 17, 0], [0, 0, 21]],
@@ -246,7 +247,7 @@ DEFAULT_MODEL_CONFUSIONS = {
     "gaussian_nb": [[21, 0, 0], [1, 18, 0], [0, 0, 21]],
     "knn": [[20, 1, 0], [0, 19, 0], [0, 0, 21]],
     "linear_svm_sgd": [[20, 1, 0], [1, 18, 0], [0, 0, 21]],
-    "logistic_regression": [[21, 0, 0], [2, 16, 1], [0, 0, 21]],
+    "logistic_regression": [[21, 0, 0], [0, 18, 1], [0, 0, 21]],
     "nearest_centroid": [[20, 1, 0], [0, 19, 0], [0, 0, 21]],
     "perceptron": [[21, 0, 0], [1, 17, 1], [0, 0, 21]],
     "random_forest": [[20, 0, 1], [0, 19, 0], [0, 0, 21]],
@@ -428,12 +429,40 @@ def test_render_json_golden():
         (lambda reports: reports.append("knn"), "report 3 is not an object"),
         (lambda reports: reports[0].update(cv=[0.1, 0.05, 0.0]), "report 0 cv is not"),
         (lambda reports: reports[0]["cv"].pop("k"), "report 0 cv is not"),
+        (lambda reports: reports[1].update(accuracy="high"), "report 1 field accuracy is 'high'"),
+        (lambda reports: reports[1].update(f1_macro=True), "report 1 field f1_macro is True"),
+        (lambda reports: reports[1].update(model=7), "report 1 field model is 7"),
+        (lambda reports: reports[2].update(status=None), "report 2 field status is None"),
+        (lambda reports: reports[0]["cv"].update(k=False), "report 0 cv field k is False"),
     ],
     ids=["missing field", "unknown field", "report not an object", "cv not an object",
-         "cv missing a field"],
+         "cv missing a field", "metric not a number", "metric a bool", "model not a string",
+         "status not a string", "cv k a bool"],
 )
 def test_malformed_leaderboard_report_is_value_error(damage, message):
     document = json.loads(render(_golden_leaderboard(), "json"))
     damage(document["reports"])
     with pytest.raises(ValueError, match=message):
         leaderboard_from_json(json.dumps(document))
+
+
+def _without(document: dict, key: str) -> dict:
+    return {name: value for name, value in document.items() if name != key}
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda document: [], "is a JSON object"),
+        (lambda document: _without(document, "reports"), "reports must be a list"),
+        (lambda document: {**document, "reports": 5}, "reports must be a list"),
+        (lambda document: _without(document, "metadata"), "metadata must be an object"),
+        (lambda document: {**document, "metadata": [1]}, "metadata must be an object"),
+    ],
+    ids=["document a list", "no reports", "reports a number", "no metadata",
+         "metadata not an object"],
+)
+def test_malformed_leaderboard_document_is_value_error(damage, message):
+    document = json.loads(render(_golden_leaderboard(), "json"))
+    with pytest.raises(ValueError, match=message):
+        leaderboard_from_json(json.dumps(damage(document)))

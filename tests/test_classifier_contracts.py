@@ -141,7 +141,7 @@ FIXED_SETTINGS = {
     "nearest_centroid": {},
     "ridge": {"lam": 1.0},
     "linear_svm_sgd": _SGD_CONSTANTS,
-    "logistic_regression": _SGD_CONSTANTS,
+    "logistic_regression": {"l2": 1e-4, "tol": 1e-9},
     "perceptron": {**_SGD_CONSTANTS, "l2": 0.0},
     "dummy": {},
 }

@@ -11,11 +11,12 @@ from flowbench.classifiers import (
     RidgeModel,
     margin,
 )
-from flowbench.classifiers.linear import _sigmoid
 from flowbench.features import fit_transform, stratified_split
 from flowbench.synth import generate_records
 
-SGD_CLASSES = (LinearSVMModel, LogisticRegressionModel, PerceptronModel)
+SGD_CLASSES = (LinearSVMModel, PerceptronModel)
+# Every model whose fit iterates up to max_epochs: the SGD pair and Newton's logistic regression.
+ITERATIVE_CLASSES = (LinearSVMModel, LogisticRegressionModel, PerceptronModel)
 
 
 def _blobs(rng, n_per_class=30, spread=0.3):
@@ -26,14 +27,14 @@ def _blobs(rng, n_per_class=30, spread=0.3):
     return X, y
 
 
-@pytest.mark.parametrize("cls", SGD_CLASSES)
+@pytest.mark.parametrize("cls", ITERATIVE_CLASSES)
 def test_separable_blobs_reach_perfect_training_accuracy(cls, rng):
     X, y = _blobs(rng)
     model = cls(max_epochs=200, seed=1).fit(X, y)
     assert np.mean(model.predict(X) == y) == 1.0
 
 
-@pytest.mark.parametrize("cls", SGD_CLASSES)
+@pytest.mark.parametrize("cls", ITERATIVE_CLASSES)
 def test_constant_labels_predict_that_label(cls):
     X = np.array([[0.1, -0.3], [0.4, 0.2], [-0.5, 0.6]])
     y = np.array([2, 2, 2])
@@ -41,7 +42,7 @@ def test_constant_labels_predict_that_label(cls):
     assert model.predict(X).tolist() == [2, 2, 2]
 
 
-@pytest.mark.parametrize("cls", SGD_CLASSES)
+@pytest.mark.parametrize("cls", ITERATIVE_CLASSES)
 def test_non_finite_features_rejected(cls):
     X = np.array([[0.0, np.nan], [1.0, 2.0]])
     y = np.array([0, 1])
@@ -49,7 +50,7 @@ def test_non_finite_features_rejected(cls):
         cls().fit(X, y)
 
 
-@pytest.mark.parametrize("cls", SGD_CLASSES)
+@pytest.mark.parametrize("cls", ITERATIVE_CLASSES)
 def test_same_seed_gives_identical_weights(cls, rng):
     X, y = _blobs(rng, n_per_class=20)
     a = cls(max_epochs=30, seed=9).fit(X, y)
@@ -110,13 +111,26 @@ def test_logistic_scores_are_normalized(rng):
 # blocked SGD kernel against the row-by-row loop ------------------------------
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+
+
+def _log_objective(X, targets, W, b, l2=1e-4) -> float:
+    """README's logistic objective, summed over the one-vs-rest problems: each
+    class's mean log loss of its +/-1 targets plus l2/2 ||w||^2, bias unpenalized."""
+    margins = targets * (X @ W.T + b)
+    return float(np.logaddexp(0.0, -margins).sum() / X.shape[0] + 0.5 * l2 * np.sum(W * W))
+
+
 def _reference_fit(model, X, y):
     """The row-by-row SGD loop that the blocked kernel replaced, as an oracle.
 
     Runs `model`'s settings on (X, y) without touching the kernel and
     returns the weights, the biases and the number of epochs run. Every loss
     decays the weights by 1 - lr_t * l2 before its step; the perceptron's l2
-    is 0.
+    is 0. A model whose `_loss` is set to "log" runs per-sample logistic
+    SGD, which the kernel does not implement: the weights logistic_regression's
+    Newton fit must match or beat on its objective.
     """
     model.classes_, codes = np.unique(y, return_inverse=True)
     n, d = X.shape
@@ -156,7 +170,10 @@ def _reference_fit(model, X, y):
                 W *= decay
                 W += pull[:, None] * x
                 b += pull
-        loss = model._objective(X, targets, W, b)
+        if loss_kind == "log":
+            loss = _log_objective(X, targets, W, b, lam)
+        else:
+            loss = model._objective(X, targets, W, b)
         if previous - loss < model.tol:
             break
         previous = loss
@@ -180,14 +197,19 @@ def _assert_matches_reference(model, W, b):
     np.testing.assert_allclose(model.bias_, b, rtol=1e-9, atol=1e-12)
 
 
-@pytest.fixture(scope="module")
-def portfolio_train_rows():
-    """The training rows of the portfolio-1k benchmark: 1,000 synthetic records
-    (seed 7, signal 0.9), z-scored, minus the default 20% holdout (seed 42)."""
-    records = generate_records(1000, seed=7, signal_strength=0.9)
-    matrix = fit_transform(records, scale=True)
+def _portfolio_rows(seed, scale):
+    """The training rows of the portfolio-1k benchmark at a data seed: 1,000
+    synthetic records (signal 0.9), minus the default 20% holdout (seed 42)."""
+    records = generate_records(1000, seed=seed, signal_strength=0.9)
+    matrix = fit_transform(records, scale=scale)
     plan = stratified_split(matrix.labels, 0.2, 42)
     return matrix.rows[plan.train_indices], matrix.labels[plan.train_indices]
+
+
+@pytest.fixture(scope="module")
+def portfolio_train_rows():
+    """portfolio-1k's z-scored training rows at its default data seed, 7."""
+    return _portfolio_rows(7, scale=True)
 
 
 def _small_case(name):
@@ -263,6 +285,113 @@ def test_edge_hyperparameters_fit_finite_reference_weights(cls, params):
         W, b, _ = _reference_fit(_sgd(cls, **params), X, y)
     assert np.isfinite(model.weights_).all() and np.isfinite(model.bias_).all()
     _assert_matches_reference(model, W, b)
+
+
+# logistic regression: Newton's method against its objective -------------------
+
+
+def _log_gradient(X, targets, W, b, l2=1e-4) -> np.ndarray:
+    """The gradient of `_log_objective`: one row per class, the weights then the bias."""
+    margins = targets * (X @ W.T + b)
+    pull = targets * np.exp(-np.logaddexp(0.0, margins)) / X.shape[0]  # y * sigmoid(-y z) / n
+    return np.hstack([l2 * W - pull.T @ X, -pull.sum(axis=0)[:, None]])
+
+
+def _newton_case(name):
+    rng = np.random.default_rng(5)
+    if name.startswith("portfolio"):
+        _, seed, scaling = name.split("_")
+        return _portfolio_rows(int(seed), scaling == "scaled")
+    if name == "near_separable":  # two tight blobs, one row of each on the other side
+        X, y = _blobs(rng, n_per_class=30, spread=0.3)
+        return X, np.where(np.arange(60) % 30 == 0, 1 - y, y)
+    if name == "two_row_class":
+        X = rng.normal(size=(42, 4))
+        return X, np.array([0] * 20 + [1] * 20 + [2] * 2)
+    return _small_case(name)
+
+
+NEWTON_CASES = [
+    "portfolio_7_scaled",
+    "portfolio_8_scaled",
+    "portfolio_7_raw",
+    "near_separable",
+    "two_row_class",
+    "n17",
+    "one_class",
+    "n1",
+]
+
+
+@pytest.mark.parametrize("case", NEWTON_CASES)
+def test_newton_gradient_vanishes_at_the_fitted_weights(case):
+    X, y = _newton_case(case)
+    model = LogisticRegressionModel().fit(X, y)
+    targets = model._targets(np.unique(y, return_inverse=True)[1])
+    gradient = _log_gradient(X, targets, model.weights_, model.bias_)
+    assert np.abs(gradient).max() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    ("case", "epochs"),
+    [("portfolio_7_scaled", 30), ("near_separable", 300), ("two_classes", 300), ("n17", 300)],
+)
+def test_newton_objective_is_at_most_the_log_sgd_objective(case, epochs):
+    X, y = _newton_case(case)
+    model = LogisticRegressionModel().fit(X, y)
+    W, b, _ = _reference_fit(_sgd(LinearSVMModel, epochs, seed=42, _loss="log"), X, y)
+    targets = model._targets(np.unique(y, return_inverse=True)[1])
+    newton = _log_objective(X, targets, model.weights_, model.bias_)
+    assert newton <= _log_objective(X, targets, W, b)
+
+
+def test_newton_iteration_cap(portfolio_train_rows):
+    X, y = portfolio_train_rows
+    targets = np.where(y[:, None] == np.arange(3), 1.0, -1.0)
+    none = LogisticRegressionModel(max_epochs=0).fit(X, y)
+    assert not none.weights_.any() and not none.bias_.any()
+    one = LogisticRegressionModel(max_epochs=1).fit(X, y)  # the cap keeps the iterate
+    full = LogisticRegressionModel().fit(X, y)
+    objectives = [
+        _log_objective(X, targets, model.weights_, model.bias_) for model in (none, one, full)
+    ]
+    assert objectives[0] > objectives[1] > objectives[2]
+    assert np.abs(_log_gradient(X, targets, one.weights_, one.bias_)).max() > 1e-8
+
+
+def test_newton_refit_is_bit_identical_at_any_seed(portfolio_train_rows):
+    X, y = portfolio_train_rows
+    first = LogisticRegressionModel(seed=0).fit(X, y)
+    for seed in (0, 42):
+        again = LogisticRegressionModel(seed=seed).fit(X, y)
+        assert again.weights_.tobytes() == first.weights_.tobytes()
+        assert again.bias_.tobytes() == first.bias_.tobytes()
+
+
+def test_newton_without_a_finite_step_is_a_value_error():
+    # The Hessian of rows near 1e200 overflows to inf, so no finite step exists.
+    X = np.array([[1.0, 2.0], [2.0, 1.0], [0.5, 0.5]]) * 1e200
+    y = np.array([0, 1, 0])
+    with np.errstate(all="ignore"), pytest.raises(
+        ValueError, match="^the Newton step has no finite solution in float64$"
+    ):
+        LogisticRegressionModel().fit(X, y)
+
+
+def test_logistic_scores_order_classes_past_the_sigmoids_range():
+    # Every z is below -35, where the sigmoids once clipped to one value and tied.
+    model = LogisticRegressionModel()
+    model.classes_ = np.array([0, 1, 2])
+    model.n_features_ = 1
+    model.weights_ = np.array([[-1.0], [-1.0], [-1.0]])
+    model.bias_ = np.array([-10.0, 0.0, -5.0])
+    x = np.array([[50.0]])  # z = (-60, -50, -55)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = model.predict_scores(x)
+    assert scores[0, 1] > scores[0, 2] > scores[0, 0]
+    assert scores.sum() == pytest.approx(1.0, abs=1e-12)
+    assert model.predict(x).tolist() == [1]
 
 
 # ridge -------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""The traced CLI of the benchmark harness still finds the names it rebinds."""
+"""The benchmark harness still runs against the library: the traced CLI finds the
+names it rebinds, and the kernel timings call the models as they are."""
 
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -123,3 +126,22 @@ def test_traced_predict_reports_read_side_spans(tmp_path):
     assert main(["predict", "--data", str(data), "--model-file", str(model),
                  "--output", str(untraced)]) == EXIT_OK
     assert traced.read_bytes() == untraced.read_bytes()
+
+
+def test_kernel_metrics_run_on_a_small_problem():
+    # The per-layer pass times the SGD models, build_tree and knn through
+    # layers.py's own calls, so a changed constructor or signature of any of
+    # them fails here, not only in a traced benchmark run.
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    matrix = fit_transform(generate_records(150, seed=7, signal_strength=0.9), scale=True)
+    metrics = layers.kernel_metrics(matrix.rows, matrix.encoded, matrix.labels, matrix.rows[:20])
+    assert set(metrics) == {
+        "kernel.sgd_epoch_s.hinge",
+        "kernel.sgd_epoch_s.log",
+        "kernel.sgd_epoch_s.perceptron",
+        "kernel.tree_build_s",
+        "kernel.knn_block_s",
+    }
+    assert all(math.isfinite(value) and value > 0 for value in metrics.values())

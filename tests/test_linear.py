@@ -9,10 +9,18 @@ from flowbench.classifiers import (
     LogisticRegressionModel,
     PerceptronModel,
     RidgeModel,
+    linear,
     margin,
 )
 from flowbench.features import fit_transform, stratified_split
 from flowbench.synth import generate_records
+
+try:
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+    from hypothesis.extra.numpy import arrays
+except ImportError:  # CI installs hypothesis; without it only the property test is skipped
+    given = None
 
 SGD_CLASSES = (LinearSVMModel, PerceptronModel)
 # Every model whose fit iterates up to max_epochs: the SGD pair and Newton's logistic regression.
@@ -108,7 +116,7 @@ def test_logistic_scores_are_normalized(rng):
     np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-9)
 
 
-# blocked SGD kernel against the row-by-row loop ------------------------------
+# window SGD kernel against the row-by-row loop --------------------------------
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -122,15 +130,17 @@ def _log_objective(X, targets, W, b, l2=1e-4) -> float:
     return float(np.logaddexp(0.0, -margins).sum() / X.shape[0] + 0.5 * l2 * np.sum(W * W))
 
 
-def _reference_fit(model, X, y):
-    """The row-by-row SGD loop that the blocked kernel replaced, as an oracle.
+def _reference_fit(model, X, y, ties=None):
+    """The row-by-row SGD loop that the window kernel replaced, as an oracle.
 
     Runs `model`'s settings on (X, y) without touching the kernel and
     returns the weights, the biases and the number of epochs run. Every loss
     decays the weights by 1 - lr_t * l2 before its step; the perceptron's l2
     is 0. A model whose `_loss` is set to "log" runs per-sample logistic
     SGD, which the kernel does not implement: the weights logistic_regression's
-    Newton fit must match or beat on its objective.
+    Newton fit must match or beat on its objective. A `ties` list gets, for
+    each hinge or perceptron epoch, whether a score in it tied at the edge
+    (see `_reference_pass`).
     """
     model.classes_, codes = np.unique(y, return_inverse=True)
     n, d = X.shape
@@ -152,24 +162,16 @@ def _reference_fit(model, X, y):
         epoch_rows = X[order]
         epoch_targets = targets[order]
         decays = 1.0 - rates * lam
-        if loss_kind == "hinge":
-            for x, t, lr, decay in zip(epoch_rows, epoch_targets, rates, decays):
-                pull = (t * (W @ x + b) < 1.0) * (lr * t)
-                W *= decay
-                W += pull[:, None] * x
-                b += pull
-        elif loss_kind == "log":
+        if loss_kind == "log":
             for x, t, lr, decay in zip(epoch_rows, epoch_targets, rates, decays):
                 g = _sigmoid(W @ x + b) - (t + 1.0) / 2.0
                 W *= decay
                 W -= (lr * g)[:, None] * x
                 b -= lr * g
-        else:  # perceptron
-            for x, t, lr, decay in zip(epoch_rows, epoch_targets, rates, decays):
-                pull = (t * (W @ x + b) <= 0.0) * (lr * t)
-                W *= decay
-                W += pull[:, None] * x
-                b += pull
+        else:
+            tied = _reference_pass(loss_kind, W, b, epoch_rows, epoch_targets, rates, decays)
+            if ties is not None:
+                ties.append(tied)
         if loss_kind == "log":
             loss = _log_objective(X, targets, W, b, lam)
         else:
@@ -178,6 +180,24 @@ def _reference_fit(model, X, y):
             break
         previous = loss
     return W, b, epochs
+
+
+def _reference_pass(loss_kind, W, b, rows, row_targets, rates, decays):
+    """One hinge or perceptron step per row, in order, on W and b in place.
+
+    Returns whether some score was a tie: within 1e-9 of the edge relative
+    to the size of the terms it sums, so that rounding alone decided its step.
+    """
+    edge = 1.0 if loss_kind == "hinge" else 0.0
+    tied = False
+    for x, t, lr, decay in zip(rows, row_targets, rates, decays):
+        z = t * (W @ x + b)
+        tied |= bool(np.any(np.abs(z - edge) < 1e-9 * (np.abs(W) @ np.abs(x) + np.abs(b))))
+        pull = ((z < 1.0) if loss_kind == "hinge" else (z <= 0.0)) * (lr * t)
+        W *= decay
+        W += pull[:, None] * x
+        b += pull
+    return tied
 
 
 def _sgd(cls, max_epochs=1000, seed=0, **constants):
@@ -214,7 +234,7 @@ def portfolio_train_rows():
 
 def _small_case(name):
     rng = np.random.default_rng(3)
-    if name == "n17":  # one full block plus one row
+    if name == "n17":  # part of one window
         return rng.normal(size=(17, 4)), rng.integers(0, 3, size=17)
     if name == "n1":
         return rng.normal(size=(1, 3)), np.array([2])
@@ -285,6 +305,93 @@ def test_edge_hyperparameters_fit_finite_reference_weights(cls, params):
         W, b, _ = _reference_fit(_sgd(cls, **params), X, y)
     assert np.isfinite(model.weights_).all() and np.isfinite(model.bias_).all()
     _assert_matches_reference(model, W, b)
+
+
+@pytest.mark.parametrize(
+    "n", [linear.WINDOW_ROWS + extra for extra in (-1, 0, 1)] + [2 * linear.WINDOW_ROWS + 1]
+)
+@pytest.mark.parametrize("cls", SGD_CLASSES)
+def test_kernel_matches_reference_around_window_sizes(cls, n):
+    rng = np.random.default_rng(n)
+    X, y = rng.normal(size=(n, 4)), rng.integers(0, 3, size=n)
+    model = cls(max_epochs=100, seed=6).fit(X, y)
+    W, b, _ = _reference_fit(cls(max_epochs=100, seed=6), X, y)
+    _assert_matches_reference(model, W, b)
+
+
+def test_late_training_pass_is_decided_by_the_bound(portfolio_train_rows, monkeypatch):
+    # One pass at the rates of step 800,000 on, the last epoch of a
+    # 1,000-epoch fit on these 800 rows, from fitted weights.
+    X, y = portfolio_train_rows
+    fitted = LinearSVMModel(max_epochs=100).fit(X, y)
+    targets = fitted._targets(y)
+    order = np.random.default_rng(11).permutation(y.size)
+    rates = LinearSVMModel.learning_rate / np.sqrt(np.arange(800_001, 800_001 + y.size))
+    W, b = fitted.weights_.copy(), fitted.bias_.copy()
+    _reference_pass("hinge", W, b, X[order], targets[order], rates, 1.0 - rates * fitted.l2)
+
+    walked = []
+    real_walk = linear._walk
+
+    def counting_walk(c, z, undecided, *rest):
+        walked.append(np.count_nonzero(undecided))
+        real_walk(c, z, undecided, *rest)
+
+    monkeypatch.setattr(linear, "_walk", counting_walk)
+    kernel_W, kernel_b = fitted.weights_.copy(), fitted.bias_.tolist()
+    fitted._sgd_pass(kernel_W, kernel_b, X[order], targets[order], rates)
+    fitted.weights_, fitted.bias_ = kernel_W, np.array(kernel_b)
+    _assert_matches_reference(fitted, W, b)
+    assert sum(walked) <= 0.01 * targets.size  # Python walks at most 1% of the pairs
+
+
+def test_a_decay_of_zero_is_a_value_error():
+    # l2 = 100 gives the first row the decay 1 - 0.01 * 100 = 0.
+    X, y = _blobs(np.random.default_rng(2), n_per_class=5)
+    with pytest.raises(ValueError, match="out of float64's range"):
+        _sgd(LinearSVMModel, 5, l2=100.0).fit(X, y)
+
+
+if given is not None:
+
+    @st.composite
+    def _drawn_rows(draw):
+        """Rows on an integer grid or not, some duplicated, so scores can tie at the edge."""
+        n = draw(st.integers(1, 3 * linear.WINDOW_ROWS + 1))
+        d = draw(st.integers(1, 6))
+        values = st.integers(-2, 2).map(float) if draw(st.booleans()) else st.floats(-3, 3)
+        X = draw(arrays(np.float64, (n, d), elements=values))
+        row = st.integers(0, n - 1)
+        for target, source in draw(st.lists(st.tuples(row, row), max_size=6)):
+            X[target] = X[source]
+        y = draw(arrays(np.int64, n, elements=st.integers(0, draw(st.integers(0, 2)))))
+        return X, y
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(SGD_CLASSES),
+        _drawn_rows(),
+        st.sampled_from([0.0, 1e-4, 5.0, 150.0]),
+        st.sampled_from([0.01, 0.5]),
+        st.integers(1, 30),
+    )
+    def test_kernel_matches_reference_on_drawn_inputs(cls, rows, l2, learning_rate, epochs):
+        # Every epoch runs (tol -inf): objectives equal to rounding may fall
+        # either side of tol, and test_tol_stops_at_the_reference_epoch covers the stop.
+        X, y = rows
+        constants = {"l2": l2, "learning_rate": learning_rate, "tol": -math.inf}
+        ties = []
+        with np.errstate(over="ignore", invalid="ignore"):  # l2=150 at rate 0.5 overflows
+            model = _sgd(cls, epochs, seed=3, **constants).fit(X, y)
+            W, b, _ = _reference_fit(_sgd(cls, epochs, seed=3, **constants), X, y, ties)
+        assume(np.isfinite(W).all() and np.isfinite(b).all())  # no weights to compare
+        try:
+            _assert_matches_reference(model, W, b)
+        except AssertionError:
+            # Rounding decided a tied score's step in the loop; any other
+            # order of the same sums may decide it the other way.
+            assume(not any(ties))
+            raise
 
 
 # logistic regression: Newton's method against its objective -------------------
@@ -376,6 +483,26 @@ def test_newton_without_a_finite_step_is_a_value_error():
         ValueError, match="^the Newton step has no finite solution in float64$"
     ):
         LogisticRegressionModel().fit(X, y)
+
+
+def test_newton_stops_once_a_step_gains_nothing_in_float64(monkeypatch):
+    # On these unscaled rows, features near 2e4 hold one class's gradient
+    # just above tol through rounding; its fit once ran to the 1000-iteration cap.
+    matrix = fit_transform(generate_records(1000, seed=9, signal_strength=0.9), scale=False)
+    X, y = matrix.rows, matrix.labels
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solves.append(1)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    full = LogisticRegressionModel().fit(X, y)
+    assert len(solves) < 3 * 50
+    capped = LogisticRegressionModel(max_epochs=50).fit(X, y)
+    assert capped.weights_.tobytes() == full.weights_.tobytes()
+    assert capped.bias_.tobytes() == full.bias_.tobytes()
 
 
 def test_logistic_scores_order_classes_past_the_sigmoids_range():

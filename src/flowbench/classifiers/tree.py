@@ -15,9 +15,9 @@ feature; it ranks each column once per fit, then sorts each node's
 per non-constant feature between its node-local min and max (Geurts et al.,
 Extremely randomized trees, 2006). One scorer keeps the candidate with the
 lowest weighted child Gini; ties resolve to the lowest feature index, then
-the lowest threshold. Admissibility of the winner is decided in exact integer
-arithmetic so zero-gain splits are kept (both children still shrink) and
-float rounding can never turn a valid split into a leaf.
+the lowest threshold. Every node with a candidate splits at its winner, a
+zero-gain winner too (both children still shrink), so a tree grows until each
+leaf is pure or its rows agree on every candidate feature.
 
 A fit's trees form one `Forest`: parallel arrays with one entry per node
 (feature, threshold, left child, class fractions), tree after tree, each in
@@ -290,16 +290,16 @@ class _Grower:
         return (counts.max(axis=1) != sizes).nonzero()[0].tolist()
 
     def split(self, group: list[_Pending]) -> None:
-        """Split each node of a group at its best admissible candidate; the rest stay leaves."""
+        """Split each node of a group at its best candidate; a node without one stays a leaf."""
         pairs = self._pairs(group)
         if self.random:
             candidates, thresholds, left = self._drawn_candidates(group, pairs)
         else:
             candidates, thresholds, left = self._midpoint_candidates(pairs)
-        counts = np.concatenate([pending.counts for pending in group]).reshape(-1, self.k)
-        won, best = _winners(pairs.node[candidates], left, counts)
-        if won:
-            split = [group[i] for i in won]
+        if candidates.size:
+            counts = np.concatenate([pending.counts for pending in group]).reshape(-1, self.k)
+            won, best = _winners(pairs.node[candidates], left, counts)
+            split = [group[i] for i in won.tolist()]
             features = pairs.feature[candidates[best]]
             self._branch(split, features, thresholds[best], counts[won], left[best])
 
@@ -379,7 +379,9 @@ class _Grower:
         offsets = candidates * self.values.size
         lower = self.values[keys[cuts] - offsets]
         upper = self.values[keys[above] - offsets]
-        return candidates, _below_upper((lower + upper) / 2.0, lower, upper), left
+        with np.errstate(over="ignore"):  # _below_upper moves an infinite midpoint
+            midpoints = (lower + upper) / 2.0
+        return candidates, _below_upper(midpoints, lower, upper), left
 
     def _counts_between(self, labels, starts, stops):
         """Class counts of labels[starts[i]:stops[i]], one row per i.
@@ -418,12 +420,14 @@ class _Grower:
 
 
 def _below_upper(thresholds, lower, upper):
-    """Thresholds, with one that rounded onto its upper value moved to the lower.
+    """Thresholds, with one outside [lower, upper) moved to the lower value.
 
     A midpoint of adjacent doubles, or a uniform draw, can land on the upper
-    value and send every row left; scikit-learn's splitters use the same rule.
+    value and send every row left, and the midpoint of two values below
+    -max/2 overflows to -inf and sends every row right; scikit-learn's
+    splitters use the same rule.
     """
-    return np.where(thresholds < upper, thresholds, lower)
+    return np.where((lower <= thresholds) & (thresholds < upper), thresholds, lower)
 
 
 def _run_starts(a):
@@ -432,15 +436,18 @@ def _run_starts(a):
 
 
 def _winners(nodes, left, counts):
-    """The nodes that split, and the candidate each splits at.
+    """Each node that has a candidate, and the candidate it splits at.
 
     `nodes` gives each candidate's node, ascending, and `left` the class
-    counts it sends left. A node's candidate is its first one with the lowest
-    weighted child Gini; the node splits when that candidate is admissible,
-    that is when its weighted child Gini is at most the node's Gini.
+    counts it sends left. A node splits at its first candidate with the
+    lowest weighted child Gini.
     """
-    if nodes.size == 0:
-        return [], []
+    # Every winner is taken, as no split whose children both hold rows raises
+    # its node's Gini: per class, l²/n_l + r²/n_r >= (l + r)²/(n_l + n_r)
+    # (Sedrakyan's inequality; Gini is concave). Both generators propose only
+    # such splits: a midpoint cut lies between two distinct values, and a drawn
+    # threshold lo + span * u is at least lo and, by _below_upper, below hi.
+    # A zero-gain split, such as XOR's root, is taken too.
     n = counts.sum(axis=1)[nodes]
     right = counts[nodes] - left
     n_left = left.sum(axis=1)
@@ -452,17 +459,7 @@ def _winners(nodes, left, counts):
     lowest = np.minimum.reduceat(weighted, starts)
     hits = (weighted == lowest.repeat(np.bincount(nodes)[nodes[starts]])).nonzero()[0]
     first = hits[_run_starts(nodes[hits])]
-    ssq_parent = (counts * counts).sum(axis=1).tolist()
-    won, best = [], []
-    for i, node, nl, nr, sl, sr in zip(
-        first.tolist(), nodes[first].tolist(), n_left[first].tolist(),
-        n_right[first].tolist(), ssq_left[first].tolist(), ssq_right[first].tolist(),
-    ):
-        # Exact integer form of: weighted child Gini <= parent Gini.
-        if (nl + nr) * (sl * nr + sr * nl) >= ssq_parent[node] * nl * nr:
-            won.append(node)
-            best.append(i)
-    return won, best
+    return nodes[first], first
 
 
 class DecisionTreeModel(Classifier):
@@ -473,9 +470,9 @@ class DecisionTreeModel(Classifier):
     `bootstrap` is set and over a fresh subset of ceil(sqrt(d)) of the d
     features at every split when `max_features` is "sqrt"; scores average the
     trees' leaf distributions. A single tree model grows one tree on all rows
-    and features. Every tree grows until its leaves are pure or no split
-    lowers its weighted Gini. These settings are class constants: each model
-    runs at fixed defaults.
+    and features. Every tree grows until each leaf is pure or its rows agree
+    on every candidate feature. These settings are class constants: each
+    model runs at fixed defaults.
 
     `forest_` holds the fitted trees as one Forest, whose five fields are the
     model's declared arrays: n nodes and t trees. Loading checks that they

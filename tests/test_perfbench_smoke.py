@@ -1,5 +1,6 @@
 """The benchmark harness still runs against the library: the traced CLI finds the
-names it rebinds, and the kernel timings call the models as they are."""
+names it rebinds, the kernel timings call the models as they are, and the tree
+models still give the confusions the benchmark recorded."""
 
 import importlib.util
 import json
@@ -8,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from flowbench import bench as bench_module
 from flowbench.bench import BenchOptions, run_benchmark
@@ -19,6 +22,16 @@ from flowbench.synth import generate_records
 
 ROOT = Path(__file__).resolve().parents[1]
 TREE_MODELS = ["decision_tree", "extra_tree", "bagging", "random_forest", "extra_trees"]
+
+
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded without running it."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look up their module by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def array_stats(model) -> dict:
@@ -132,9 +145,7 @@ def test_kernel_metrics_run_on_a_small_problem():
     # The per-layer pass times the SGD models, build_tree and knn through
     # layers.py's own calls, so a changed constructor or signature of any of
     # them fails here, not only in a traced benchmark run.
-    spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _perfbench_module("layers")
     matrix = fit_transform(generate_records(150, seed=7, signal_strength=0.9), scale=True)
     metrics = layers.kernel_metrics(matrix.rows, matrix.encoded, matrix.labels, matrix.rows[:20])
     assert set(metrics) == {
@@ -145,3 +156,18 @@ def test_kernel_metrics_run_on_a_small_problem():
         "kernel.knn_block_s",
     }
     assert all(math.isfinite(value) and value > 0 for value in metrics.values())
+
+
+@pytest.mark.parametrize("workload", ["portfolio-1k", "ensembles-1k"])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_tree_models_reproduce_the_recorded_confusions(workload, seed):
+    # The benchmark checks its outputs against references.json only at the
+    # recorded seeds, which CI's benchmark steps do not run, so this pins the
+    # tree models' outputs there. They use no BLAS, so the pins are exact.
+    run = _perfbench_module("run")
+    spec = run.WORKLOADS[workload]
+    recorded = run.load_references()[workload][str(seed)]
+    matrix = fit_transform(generate_records(spec.rows, seed, spec.signal), scale=True)
+    plan = stratified_split(matrix.labels, 0.2, 42)
+    board = run_benchmark(matrix, plan, TREE_MODELS, BenchOptions(seed=42))
+    assert {r.model: r.confusion for r in board.reports} == {m: recorded[m] for m in TREE_MODELS}

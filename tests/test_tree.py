@@ -21,6 +21,12 @@ from flowbench.classifiers import (
 from flowbench.features import fit_transform, stratified_split
 from flowbench.synth import generate_records
 
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # CI installs hypothesis; without it only the property test is skipped
+    given = None
+
 TREE_MODEL_NAMES = ("decision_tree", "extra_tree", "bagging", "random_forest", "extra_trees")
 
 
@@ -227,15 +233,17 @@ def test_prediction_equals_routed_leaf_argmax():
         assert model.predict(np.array([[value]]))[0] == model.classes_[expected]
 
 
+def _leaf(root: TreeNode, row) -> TreeNode:
+    """The leaf that one row reaches, walking the tree through its views."""
+    node = root
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node
+
+
 def _routed_dists(root, probe):
     """Each probe row's leaf distribution, routing one row at a time."""
-    dists = []
-    for row in probe:
-        node = root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        dists.append(node.dist)
-    return np.array(dists)
+    return np.array([_leaf(root, row).dist for row in probe])
 
 
 def test_tree_scores_match_row_by_row_routing(rng):
@@ -274,6 +282,15 @@ def test_midpoint_rounding_onto_upper_value_still_splits():
     model = DecisionTreeModel().fit(ADJACENT_ROWS, np.array([0, 1]))
     assert model.trees_[0].threshold == ADJACENT_ROWS[0, 0]
     assert model.predict(ADJACENT_ROWS).tolist() == [0, 1]
+
+
+def test_midpoint_overflowing_float64_still_splits():
+    # Two values below -max/2 sum to -inf, two above max/2 to +inf; either way
+    # the split falls on the lower value, so each row reaches its own leaf.
+    for X in (np.array([[-1.7e308], [-1.6e308]]), np.array([[1.6e308], [1.7e308]])):
+        model = DecisionTreeModel().fit(X, np.array([0, 1]))
+        assert model.trees_[0].threshold == X[0, 0]
+        assert model.predict(X).tolist() == [0, 1]
 
 
 def test_unfitted_predict_raises():
@@ -372,9 +389,12 @@ def test_leaf_distributions_sum_to_one(rng):
 # lockstep growth against the per-tree grower ---------------------------------
 #
 # The grower below is the depth-first, one-tree-at-a-time CART that built
-# every tree before the trees of a fit grew in lockstep, kept verbatim but
-# for its node class, the node graph that trees were stored as before they
-# became arrays. Every tree of every model must come out bit-identical to it.
+# every tree before the trees of a fit grew in lockstep. It keeps its node
+# class, the node graph that trees were stored as before they became arrays,
+# and its own exact-integer test that the winning split does not raise its
+# node's Gini, which build_tree omits as one that cannot fail: every tree it
+# matches checks that proof too. Every tree of every model must come out
+# bit-identical to it.
 
 
 @dataclass
@@ -398,24 +418,17 @@ class ReferenceNode:
         }
 
 
-def _reference_build_tree(
-    X, y, n_classes, *, splitter="best", max_depth=None, min_samples_split=2,
-    min_impurity_decrease=0.0, max_features=None, rng=None,
-):
+def _reference_build_tree(X, y, n_classes, *, splitter="best", max_features=None, rng=None):
     n, d = X.shape
     columns = np.ascontiguousarray(X.T)
     onehot = np.eye(n_classes, dtype=np.int64)[y]
     root = ReferenceNode()
-    stack = [(root, np.arange(n), 0)]
+    stack = [(root, np.arange(n))]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx = stack.pop()
         size = idx.size
         counts = np.bincount(y[idx], minlength=n_classes)
-        if (
-            size < min_samples_split
-            or int(counts.max()) == size
-            or (max_depth is not None and depth >= max_depth)
-        ):
+        if int(counts.max()) == size:
             node.dist = counts / size
             continue
 
@@ -430,7 +443,7 @@ def _reference_build_tree(
             candidates = _reference_random_candidates(values, labels, rng)
         else:
             candidates = _reference_exhaustive_candidates(values, labels)
-        found = _reference_best_split(*candidates, counts, min_impurity_decrease)
+        found = _reference_best_split(*candidates, counts)
         if found is None:
             node.dist = counts / size
             continue
@@ -440,8 +453,8 @@ def _reference_build_tree(
         node.left = ReferenceNode()
         node.right = ReferenceNode()
         go_left = values[row] <= node.threshold
-        stack.append((node.right, idx[~go_left], depth + 1))
-        stack.append((node.left, idx[go_left], depth + 1))
+        stack.append((node.right, idx[~go_left]))
+        stack.append((node.left, idx[go_left]))
     return root
 
 
@@ -451,7 +464,9 @@ def _reference_exhaustive_candidates(values, labels):
     rows, cuts = np.nonzero(ordered[:, :-1] != ordered[:, 1:])
     left = np.cumsum(labels[order], axis=1)[rows, cuts]
     lower, upper = ordered[rows, cuts], ordered[rows, cuts + 1]
-    return rows, _reference_below_upper((lower + upper) / 2.0, lower, upper), left
+    with np.errstate(over="ignore"):
+        midpoints = (lower + upper) / 2.0
+    return rows, _reference_below_upper(midpoints, lower, upper), left
 
 
 def _reference_random_candidates(values, labels, rng):
@@ -464,10 +479,10 @@ def _reference_random_candidates(values, labels, rng):
 
 
 def _reference_below_upper(thresholds, lower, upper):
-    return np.where(thresholds < upper, thresholds, lower)
+    return np.where((lower <= thresholds) & (thresholds < upper), thresholds, lower)
 
 
-def _reference_best_split(rows, thresholds, left, counts, min_decrease):
+def _reference_best_split(rows, thresholds, left, counts):
     if rows.size == 0:
         return None
     n = int(counts.sum())
@@ -479,13 +494,10 @@ def _reference_best_split(rows, thresholds, left, counts, min_decrease):
     weighted = ((n_left - ssq_left / n_left) + (n_right - ssq_right / n_right)) / n
     best = int(np.argmin(weighted))
     ssq_parent = int(np.dot(counts, counts))
-    if min_decrease <= 0.0:
-        nl, nr = int(n_left[best]), int(n_right[best])
-        lhs = n * (int(ssq_left[best]) * nr + int(ssq_right[best]) * nl)
-        admissible = lhs >= ssq_parent * nl * nr
-    else:
-        parent = (n - ssq_parent / n) / n
-        admissible = parent - float(weighted[best]) >= min_decrease
+    nl, nr = int(n_left[best]), int(n_right[best])
+    sl, sr = int(ssq_left[best]), int(ssq_right[best])
+    # Exact integer form of: weighted child Gini <= node Gini.
+    admissible = n * (sl * nr + sr * nl) >= ssq_parent * nl * nr
     return (int(rows[best]), float(thresholds[best])) if admissible else None
 
 
@@ -612,6 +624,55 @@ def test_lockstep_trees_match_reference_on_synthetic_flows(name):
     # span several groups of BLOCK_ELEMENTS cells.
     model.n_trees = min(model.n_trees, 20)
     _assert_matches_reference(model, matrix.rows_for(model), matrix.labels)
+
+
+def _leaf_rows(root: TreeNode, X) -> list[list[int]]:
+    """The row numbers of X that reach each leaf."""
+    leaves = {}
+    for i, row in enumerate(X):
+        leaves.setdefault(_leaf(root, row).node, []).append(i)
+    return list(leaves.values())
+
+
+# XOR of columns 1 and 2 below a root split on column 0: the root's left child
+# has no split that lowers its Gini, yet its rows differ.
+XOR_BELOW_ROOT = (
+    np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 1, 1]], dtype=float),
+    np.array([0, 1, 1, 0, 2, 2]),
+)
+
+
+def test_every_leaf_is_pure_or_its_rows_agree_on_every_feature():
+    # The stop rule: a node splits whenever its rows differ on some feature,
+    # even when no split lowers its Gini, so every level of the tree obeys it.
+    rng = np.random.default_rng(26)
+    problems = [XOR_BELOW_ROOT, *EDGE_PROBLEMS, *(_random_problem(rng) for _ in range(30))]
+    for X, y in problems:
+        model = DecisionTreeModel().fit(X, y)
+        for rows in _leaf_rows(model.trees_[0], X):
+            assert np.unique(y[rows]).size == 1 or (X[rows] == X[rows[0]]).all()
+
+
+if given is not None:
+
+    @st.composite
+    def _child_counts(draw):
+        """Class counts of a split's left and right child, each holding a row."""
+        classes = draw(st.integers(1, 12))  # as many as EDGE_PROBLEMS holds at most
+        counts = st.lists(st.integers(0, 10**6), min_size=classes, max_size=classes)
+        return draw(counts.filter(any)), draw(counts.filter(any))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_child_counts())
+    @example(([1, 1], [1, 1]))  # XOR's root: zero gain, equality
+    def test_no_split_raises_its_nodes_gini(children):
+        # build_tree splits every node at its winner without testing this, the
+        # exact integer form of: weighted child Gini <= node Gini.
+        left, right = children
+        nl, nr = sum(left), sum(right)
+        sl, sr = sum(c * c for c in left), sum(c * c for c in right)
+        ssq_parent = sum((a + b) ** 2 for a, b in zip(left, right))
+        assert (nl + nr) * (sl * nr + sr * nl) >= ssq_parent * nl * nr
 
 
 @pytest.mark.parametrize("name", ["extra_tree", "extra_trees"])

@@ -6,9 +6,13 @@ lr_t = learning_rate / sqrt(t). Each step first decays the weights by
 d_t = 1 - lr_t * l2, where the perceptron's l2 is 0. A row x with +/-1
 target y and score z = W.x + b then adds c * x to its class's weights and c
 to its bias, where c = lr_t * y if y*z < 1 (hinge) or y*z <= 0
-(perceptron). Each epoch ends with the full-pass objective; training stops
-when it improves by less than `tol`. learning_rate, l2 and tol are class
-constants.
+(perceptron). Each epoch ends with the full-pass objective. An epoch whose
+objective is not below the lowest so far minus `tol` is stale, and training
+stops after `n_iter_no_change` stale epochs in a row, keeping the last
+epoch's weights, or at `max_epochs`. This is scikit-learn's stop rule for
+SGDClassifier and Perceptron, except that scikit-learn measures the running
+average of the losses during an epoch, and this the full pass after it.
+learning_rate, l2, tol and n_iter_no_change are class constants.
 
 One kernel settles these steps WINDOW_ROWS rows at a time. Take W and b at
 the start of a window, and let S_j be the product of the decays of the
@@ -172,7 +176,8 @@ class _SGDBase(_LinearModel):
     _loss: str
     learning_rate = 0.01
     l2 = 1e-4
-    tol = 1e-6
+    tol = 1e-3
+    n_iter_no_change = 5
 
     def __init__(self, max_epochs: int = 1000, seed: int = 0):
         super().__init__()
@@ -186,17 +191,18 @@ class _SGDBase(_LinearModel):
         W = np.zeros((k, d), dtype=np.float64)
         bias = [0.0] * k
         rng = np.random.default_rng(self.seed)
-        step = 0
-        previous = math.inf
+        step = stale = 0
+        best = math.inf
         for _ in range(self.max_epochs):
             order = rng.permutation(n)
             rates = self.learning_rate / np.sqrt(np.arange(step + 1, step + n + 1))
             step += n
             self._sgd_pass(W, bias, X[order], targets[order], rates)
             loss = self._objective(X, targets, W, np.array(bias))
-            if previous - loss < self.tol:
+            stale = 0 if loss < best - self.tol else stale + 1
+            best = min(best, loss)
+            if stale >= self.n_iter_no_change:
                 break
-            previous = loss
         self.weights_ = W
         self.bias_ = np.array(bias)
 

@@ -128,7 +128,7 @@ EXPECTED_HYPERPARAMETERS = {
 
 # The settings every run uses, held as class constants.
 _TREE = {"n_trees": 1, "bootstrap": False, "max_features": "all"}
-_SGD_CONSTANTS = {"learning_rate": 0.01, "l2": 1e-4, "tol": 1e-6}
+_SGD_CONSTANTS = {"learning_rate": 0.01, "l2": 1e-4, "tol": 1e-3, "n_iter_no_change": 5}
 FIXED_SETTINGS = {
     "decision_tree": _TREE,
     "extra_tree": _TREE,

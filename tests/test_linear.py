@@ -152,8 +152,8 @@ def _reference_fit(model, X, y, ties=None):
     lam = model.l2
     loss_kind = model._loss
     step = 0
-    previous = math.inf
-    epochs = 0
+    best = math.inf
+    stale = epochs = 0
     for _ in range(model.max_epochs):
         epochs += 1
         order = rng.permutation(n)
@@ -176,9 +176,16 @@ def _reference_fit(model, X, y, ties=None):
             loss = _log_objective(X, targets, W, b, lam)
         else:
             loss = model._objective(X, targets, W, b)
-        if previous - loss < model.tol:
+        # scikit-learn's patience rule: stop after n_iter_no_change epochs in
+        # a row whose objective is not below the best so far minus tol.
+        if loss < best - model.tol:
+            stale = 0
+        else:
+            stale += 1
+        if loss < best:
+            best = loss
+        if stale == model.n_iter_no_change:
             break
-        previous = loss
     return W, b, epochs
 
 
@@ -271,17 +278,88 @@ def test_kernel_matches_reference_when_rows_clear_the_margin_under_strong_l2(cls
     _assert_matches_reference(model, W, b)
 
 
-def test_tol_stops_at_the_reference_epoch(portfolio_train_rows):
+@pytest.fixture(scope="module")
+def portfolio_reference_fits(portfolio_train_rows):
+    """The oracle's default fit of each SGD model on portfolio-1k's training rows."""
     X, y = portfolio_train_rows
-    _, _, epochs = _reference_fit(PerceptronModel(), X, y)
-    assert 1 < epochs < 1000  # the tol stop, not the cap, ended the reference run
-    model = PerceptronModel().fit(X, y)
-    W, b, _ = _reference_fit(_sgd(PerceptronModel, epochs, tol=-math.inf), X, y)
-    _assert_matches_reference(model, W, b)
-    # One epoch more or less gives weights the tolerance tells apart.
-    for other in (epochs - 1, epochs + 1):
-        W_other, _, _ = _reference_fit(_sgd(PerceptronModel, other, tol=-math.inf), X, y)
-        assert not np.allclose(model.weights_, W_other, rtol=1e-9, atol=1e-12)
+    return {cls: _reference_fit(cls(), X, y) for cls in SGD_CLASSES}
+
+
+def _counting_passes(monkeypatch):
+    """Wrap `_sgd_pass` so that each call, one per epoch, is counted in the returned list."""
+    passes = []
+    real_pass = linear._SGDBase._sgd_pass
+
+    def counting_pass(self, *args):
+        passes.append(1)
+        real_pass(self, *args)
+
+    monkeypatch.setattr(linear._SGDBase, "_sgd_pass", counting_pass)
+    return passes
+
+
+def test_tol_stops_at_the_reference_epoch(
+    portfolio_train_rows, portfolio_reference_fits, monkeypatch
+):
+    X, y = portfolio_train_rows
+    passes = _counting_passes(monkeypatch)
+    for cls, pinned in ((LinearSVMModel, 91), (PerceptronModel, 6)):
+        W, b, epochs = portfolio_reference_fits[cls]
+        assert epochs == pinned  # the patience rule, not the cap, ended the reference run
+        passes.clear()
+        model = cls().fit(X, y)
+        assert len(passes) == epochs
+        _assert_matches_reference(model, W, b)
+        # One epoch more or less gives weights the tolerance tells apart.
+        for other in (epochs - 1, epochs + 1):
+            W_other = _sgd(cls, other, tol=-math.inf).fit(X, y).weights_
+            assert not np.allclose(model.weights_, W_other, rtol=1e-9, atol=1e-12)
+
+
+def test_linear_svm_stops_well_before_the_epoch_cap(
+    portfolio_train_rows, portfolio_reference_fits, monkeypatch
+):
+    # The 1e-6 stop of earlier versions never fired on these rows, so every
+    # fit ran all 1,000 epochs; a rule that stops late fails here.
+    X, y = portfolio_train_rows
+    passes = _counting_passes(monkeypatch)
+    LinearSVMModel().fit(X, y)
+    assert len(passes) == portfolio_reference_fits[LinearSVMModel][2] < 200
+
+
+@pytest.mark.parametrize(
+    "objectives, stop",
+    [
+        # the five epochs after the first are stale, though each but the
+        # first of them is below the one before it
+        ([5.0, 6.0, 5.5, 5.9, 5.2, 5.1, 1.0], 6),
+        # worse epochs inside the patience window do not stop the fit, and
+        # an epoch below best - tol starts the count again
+        ([5.0, 6.0, 6.0, 6.0, 6.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 1.0], 11),
+        # an epoch below the best by less than tol is stale, but lowers the
+        # best: 4.9988 is below 5.0 - tol, yet not below 4.9996 - tol
+        ([5.0, 4.9996, 4.9988, 4.9988, 4.9988, 4.9988, 1.0], 6),
+    ],
+    ids=["stale", "reset", "best-moves"],
+)
+@pytest.mark.parametrize("cls", SGD_CLASSES)
+def test_fit_stops_after_five_stale_epochs_in_a_row(cls, objectives, stop, monkeypatch):
+    X, y = _small_case("two_classes")
+    cap = len(objectives) + 20
+
+    def script_objectives():
+        script = iter(objectives + [1.0] * 20)
+        monkeypatch.setattr(cls, "_objective", lambda self, *args: next(script))
+
+    script_objectives()
+    passes = _counting_passes(monkeypatch)
+    model = cls(max_epochs=cap).fit(X, y)
+    assert len(passes) == stop
+    script_objectives()
+    assert _reference_fit(cls(max_epochs=cap), X, y)[2] == stop
+    # The weights at the stop are the last epoch's.
+    monkeypatch.undo()
+    _assert_matches_reference(model, *_reference_fit(_sgd(cls, stop, tol=-math.inf), X, y)[:2])
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """The benchmark harness still runs against the library: the traced CLI finds the
 names it rebinds, the kernel timings call the models as they are, and the tree
-models still give the confusions the benchmark recorded."""
+and SGD models still give the confusions the benchmark recorded."""
 
 import importlib.util
 import json
@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowbench import bench as bench_module
@@ -165,9 +166,48 @@ def test_tree_models_reproduce_the_recorded_confusions(workload, seed):
     # recorded seeds, which CI's benchmark steps do not run, so this pins the
     # tree models' outputs there. They use no BLAS, so the pins are exact.
     run = _perfbench_module("run")
-    spec = run.WORKLOADS[workload]
     recorded = run.load_references()[workload][str(seed)]
+    confusions = _bench_confusions(run, workload, seed, TREE_MODELS)
+    assert confusions == {m: recorded[m] for m in TREE_MODELS}
+
+
+def _bench_confusions(run, workload: str, seed: int, models) -> dict:
+    """The holdout confusions a benchmark pass of `workload` at data seed `seed` gives `models`."""
+    spec = run.WORKLOADS[workload]
     matrix = fit_transform(generate_records(spec.rows, seed, spec.signal), scale=True)
     plan = stratified_split(matrix.labels, 0.2, 42)
-    board = run_benchmark(matrix, plan, TREE_MODELS, BenchOptions(seed=42))
-    assert {r.model: r.confusion for r in board.reports} == {m: recorded[m] for m in TREE_MODELS}
+    board = run_benchmark(matrix, plan, models, BenchOptions(seed=42))
+    return {r.model: r.confusion for r in board.reports}
+
+
+# The benchmark's SGD models (logistic_regression included) in the workloads
+# that fit them; ensembles-1k fits only the perceptron.
+SGD_CASES = [
+    *(("portfolio-1k", seed, m) for seed in (7, 8)
+      for m in ("linear_svm_sgd", "logistic_regression", "perceptron")),
+    *(("ensembles-1k", seed, "perceptron") for seed in (7, 8)),
+]
+# references.json predates logistic_regression's Newton fit and the SGD
+# models' patience stop; the benchmark's re-record (ROADMAP item 2a) mends these.
+STALE_SGD_REFERENCES = {
+    ("portfolio-1k", 8, "logistic_regression"): "the Newton fit's accuracy moved 0.020",
+    ("portfolio-1k", 8, "linear_svm_sgd"): "the patience stop's accuracy moved 0.025",
+}
+
+
+def _sgd_case(case):
+    stale = STALE_SGD_REFERENCES.get(case)
+    reason = f"{stale}; references.json is re-recorded in ROADMAP item 2a"
+    return pytest.param(
+        *case, marks=[pytest.mark.xfail(reason=reason, strict=True)] if stale else []
+    )
+
+
+@pytest.mark.parametrize("workload, seed, model", map(_sgd_case, SGD_CASES))
+def test_sgd_models_stay_within_the_recorded_references(workload, seed, model):
+    # The benchmark holds these models to an accuracy tolerance around the
+    # recorded confusions, not to the confusions; this applies its own rule.
+    run = _perfbench_module("run")
+    confusion = _bench_confusions(run, workload, seed, [model])[model]
+    recorded = run.load_references()[workload][str(seed)][model]
+    assert run.reference_problem(model, np.asarray(confusion), np.asarray(recorded)) is None

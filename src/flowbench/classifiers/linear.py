@@ -12,7 +12,11 @@ stops after `n_iter_no_change` stale epochs in a row, keeping the last
 epoch's weights, or at `max_epochs`. This is scikit-learn's stop rule for
 SGDClassifier and Perceptron, except that scikit-learn measures the running
 average of the losses during an epoch, and this the full pass after it.
-learning_rate, l2, tol and n_iter_no_change are class constants.
+learning_rate, l2, tol and n_iter_no_change are class constants. The
+perceptron stops after 6 epochs on every file measured (README gives the
+figures): its objective, mean(max(0, -y z)), scales with weights grown at
+0.01/sqrt(t), so it is of order 1e-3 and no epoch beats the best by `tol`.
+scikit-learn's Perceptron steps at eta0 = 1, where `tol` measures progress.
 
 One kernel settles these steps WINDOW_ROWS rows at a time. Take W and b at
 the start of a window, and let S_j be the product of the decays of the

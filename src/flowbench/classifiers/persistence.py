@@ -12,7 +12,7 @@ import numpy as np
 from flowbench.classifiers.base import Classifier, non_negative_int
 from flowbench.classifiers.registry import MODEL_CLASSES
 from flowbench.features import CATEGORICAL_COLUMNS, FEATURE_COLUMNS, Scaler
-from flowbench.flow_data import MAX_EXACT_INTEGER, ThreatClass
+from flowbench.flow_data import CLASS_TOKENS, MAX_EXACT_INTEGER
 
 FORMAT_VERSION = 5
 
@@ -143,8 +143,8 @@ def _decoded(document: dict, declared: dict, sizes: dict[str, int]) -> dict[str,
 
 
 def _checked_classes(classes) -> np.ndarray:
-    """The classes, when they are a non-empty, strictly increasing list of ThreatClass codes."""
-    known = range(len(ThreatClass))
+    """The classes, when they are a non-empty, strictly increasing list of class codes."""
+    known = range(len(CLASS_TOKENS))
     if not (
         isinstance(classes, list)
         and classes
@@ -153,7 +153,7 @@ def _checked_classes(classes) -> np.ndarray:
     ):
         raise ModelFormatError(
             "classes must be a strictly increasing list of class codes"
-            f" in 0..{len(ThreatClass) - 1}"
+            f" in 0..{len(CLASS_TOKENS) - 1}"
         )
     return np.array(classes, dtype=np.int64)
 

@@ -188,7 +188,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_inspect(args) -> int:
-    summary = summarize(_load_records(args.data)).to_json_dict()
+    summary = summarize(_load_records(args.data))
     if args.format == "json":
         _emit(json.dumps(summary, indent=2), args.output)
         return EXIT_OK

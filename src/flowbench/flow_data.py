@@ -12,11 +12,13 @@ encoder and the synthetic generator all follow it. Each cell parser takes the
 stripped cell text and returns its value or raises ValueError; cells are
 checked in canonical order, so a row with several bad cells reports the first
 of them. Integer columns' parsers are `IntegerCell`s, which declare the
-column's bounds; every other column is coded by vocabulary.
+column's bounds; every other column is coded by vocabulary. Every label fact
+lives in `CLASS_TOKENS`: a label is its class code, its token's index there.
 
 `FlowTable` is the one in-memory dataset: `parse_dataset` and the generator
 build it, and the encoder and `summarize` read it by column. Rows exist as
-FlowRecords only where a table is iterated.
+FlowRecords only where a table is iterated. `summarize` returns the `inspect`
+document itself.
 
 `parse_dataset` reads CHUNK_ROWS lines at a time and parses each chunk column
 by column into a `FlowTable`; every value comes from these columns. A block
@@ -64,7 +66,11 @@ class RowError(ValueError):
 
 
 class ThreatClass(enum.IntEnum):
-    """Label classes, coded by lexicographic rank of the tokens A < S < SS."""
+    """Label classes, coded by lexicographic rank of the tokens A < S < SS.
+
+    The library codes labels as CLASS_TOKENS indices and reads no ThreatClass;
+    it is kept only for perfbench/run.py, until ROADMAP items 2a and 9.
+    """
 
     ANOMALY = 0
     SIGNATURE = 1
@@ -73,9 +79,6 @@ class ThreatClass(enum.IntEnum):
     @property
     def token(self) -> str:
         return CLASS_TOKENS[self]
-
-
-_TOKEN_TO_CLASS = {token: ThreatClass(code) for code, token in enumerate(CLASS_TOKENS)}
 
 
 class FlowRecord(NamedTuple):
@@ -94,7 +97,7 @@ class FlowRecord(NamedTuple):
     ip_class: str
     threat: str
     port: int
-    prediction: ThreatClass
+    prediction: int  # the class code
 
 
 # Integers up to this magnitude are exact in float64, the encoded feature type.
@@ -163,11 +166,10 @@ def _protocol(cell: str) -> str:
     return cell
 
 
-def _label(cell: str) -> ThreatClass:
-    try:
-        return _TOKEN_TO_CLASS[cell]
-    except KeyError:
-        raise ValueError(f"unknown label {_shown(cell)}") from None
+def _label(cell: str) -> int:
+    if cell not in CLASS_TOKENS:
+        raise ValueError(f"unknown label {_shown(cell)}")
+    return CLASS_TOKENS.index(cell)
 
 
 COLUMNS = (
@@ -208,7 +210,7 @@ class FlowTable:
     """Flows held by column; iterating a table yields its rows as FlowRecords.
 
     `columns` maps each feature header to an int64 array (integer columns) or
-    a TextColumn; `labels` holds the class codes.
+    a TextColumn; `labels` holds each row's label, its class code.
     """
 
     def __init__(self, columns: dict, labels: np.ndarray):
@@ -222,36 +224,11 @@ class FlowTable:
         # Rows exist only where a table is iterated, so they are built here
         # with one gather per field and no Python-level call per row.
         fields = []
-        for column in map(self.columns.__getitem__, CANONICAL_COLUMNS[:-1]):
+        for column in [*map(self.columns.__getitem__, CANONICAL_COLUMNS[:-1]), self.labels]:
             if isinstance(column, TextColumn):
                 column = np.array(column.vocabulary, dtype=object)[column.codes]
             fields.append(column.tolist())
-        fields.append(np.array(list(ThreatClass), dtype=object)[self.labels].tolist())
         return map(tuple.__new__, itertools.repeat(FlowRecord), zip(*fields))
-
-
-@dataclass
-class DatasetSummary:
-    """Exact counts over a table: rows, distinct values, histograms."""
-
-    row_count: int
-    distinct_counts: dict[str, int]
-    family_counts: dict[str, int]
-    class_counts: dict[ThreatClass, int]
-
-    @property
-    def family_count(self) -> int:
-        return len(self.family_counts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "row_count": self.row_count,
-            "column_count": len(CANONICAL_COLUMNS),
-            "family_count": self.family_count,
-            "distinct_counts": dict(self.distinct_counts),
-            "family_counts": dict(self.family_counts),
-            "class_counts": {cls.token: n for cls, n in self.class_counts.items()},
-        }
 
 
 def parse_dataset(source) -> FlowTable:
@@ -513,11 +490,12 @@ def _csv_cells(values: Iterable[str]) -> list[str]:
     return [csv_text([(value, "")])[:-2] for value in values]
 
 
-def summarize(table: FlowTable) -> DatasetSummary:
-    """Row count, per-column distinct-value counts, family and class histograms."""
+def summarize(table: FlowTable) -> dict:
+    """The `inspect` document: row and column counts, histograms, distinct values."""
     family = table.columns["Family"]
     family_sizes = np.bincount(family.codes, minlength=len(family.vocabulary)).tolist()
-    classes = np.bincount(table.labels, minlength=len(ThreatClass)).tolist()
+    families = dict(sorted(zip(family.vocabulary, family_sizes), key=lambda kv: (-kv[1], kv[0])))
+    classes = np.bincount(table.labels, minlength=len(CLASS_TOKENS)).tolist()
     distinct = {
         header: len(column.vocabulary)
         if isinstance(column, TextColumn)
@@ -525,10 +503,11 @@ def summarize(table: FlowTable) -> DatasetSummary:
         for header, column in table.columns.items()
     }
     distinct[CANONICAL_COLUMNS[-1]] = np.unique(table.labels).size
-    families = zip(family.vocabulary, family_sizes)
-    return DatasetSummary(
-        row_count=len(table),
-        distinct_counts=distinct,
-        family_counts=dict(sorted(families, key=lambda kv: (-kv[1], kv[0]))),
-        class_counts={cls: classes[cls] for cls in ThreatClass},
-    )
+    return {
+        "row_count": len(table),
+        "column_count": len(CANONICAL_COLUMNS),
+        "family_count": len(families),
+        "distinct_counts": distinct,
+        "family_counts": families,
+        "class_counts": dict(zip(CLASS_TOKENS, classes)),
+    }

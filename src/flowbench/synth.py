@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowbench.flow_data import CANONICAL_COLUMNS, FlowTable, TextColumn
+from flowbench.flow_data import CANONICAL_COLUMNS, CLASS_TOKENS, FlowTable, TextColumn
 
 _FAMILY_POOLS = {
     0: ["EDA2", "Flyper", "Globe", "JigSaw", "NoobCrypt", "Razy"],
@@ -94,7 +94,7 @@ def generate_records(n: int, seed: int, signal_strength: float = 1.0) -> FlowTab
     if not 0.0 <= signal_strength <= 1.0:
         raise ValueError("signal_strength must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    labels = rng.integers(0, 3, size=n)
+    labels = rng.integers(0, len(CLASS_TOKENS), size=n)
 
     def mixed(draw, shared, per_class):
         # Each row takes the draw of `shared`, or, with probability

@@ -119,14 +119,14 @@ def test_criterion_3_knn_and_family_ordering(dataset_leaderboard):
 def test_criterion_4_inspect_counts():
     summary = summarize(parse_dataset(DATA_PATH))
     ok = (
-        summary.row_count == 149043
-        and len(summary.distinct_counts) == 14
-        and summary.family_count == 17
+        summary["row_count"] == 149043
+        and len(summary["distinct_counts"]) == 14
+        and summary["family_count"] == 17
     )
     check(
         "criterion 4: 149043 rows, 14 data columns, 17 families",
         ok,
-        f"rows {summary.row_count}, families {summary.family_count}",
+        f"rows {summary['row_count']}, families {summary['family_count']}",
     )
 
 

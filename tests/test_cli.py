@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from flowbench.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
-from flowbench.flow_data import parse_dataset, records_to_csv
+from flowbench.flow_data import parse_dataset, records_to_csv, summarize
 from flowbench.synth import generate_records
 
 from conftest import FIGURE_ROW, HEADER, csv_bytes
@@ -46,6 +46,7 @@ def test_synth_inspect_round_trip(synth_csv, capsys):
 def test_inspect_json_format(synth_csv, capsys):
     assert main(["inspect", "--data", str(synth_csv), "--format", "json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
+    assert doc == summarize(parse_dataset(synth_csv))
     assert doc["row_count"] == 240
     assert sum(doc["class_counts"].values()) == 240
 
@@ -454,6 +455,9 @@ def _leaf_with_a_feature(document) -> None:
     [
         ("dummy", lambda doc: doc["state"].update(classes=[0, 1, 7]),
          "classes must be a strictly increasing"),
+        # One past the last class code, the edge of the bound.
+        ("dummy", lambda doc: doc["state"].update(classes=[0, 1, 3]),
+         "classes must be a strictly increasing list of class codes in 0..2"),
         ("dummy", lambda doc: doc["state"].update(classes=[2, 1, 0]),
          "classes must be a strictly increasing"),
         ("knn", lambda doc: doc["scaler"].update(mean=[0.0] * 3),
@@ -524,8 +528,9 @@ def _leaf_with_a_feature(document) -> None:
         *(("decision_tree", lambda doc, value=value: doc["state"].update(n_features=value),
            "n_features must be a non-negative integer") for value in ("13", " 13 ", 13.9, True)),
     ],
-    ids=["unknown-class", "decreasing-classes", "short-scaler", "negative-std",
-         "no-trees", "knn-code-beyond-classes", "zero-variance", "negative-variance",
+    ids=["unknown-class", "class-one-past-the-last", "decreasing-classes", "short-scaler",
+         "negative-std", "no-trees", "knn-code-beyond-classes", "zero-variance",
+         "negative-variance",
          "ridge-one-weight-row", "two-centroids-for-three-classes", "short-knn-codes",
          "knn-row-beyond-float", "knn-row-beyond-square", "ridge-weight-beyond-float",
          "tree-child-backwards", "tree-child-beyond-end", "tree-feature-beyond-width",
@@ -552,6 +557,20 @@ def test_model_file_with_inconsistent_state_is_model_error(
     err = capsys.readouterr().err
     assert err.startswith("model error: malformed model document: ")
     assert message in err and err.count("\n") == 1
+
+
+def test_model_file_with_only_the_last_class_loads_and_predicts(synth_csv, tmp_path, capsys):
+    model_file, predictions = tmp_path / "model.json", tmp_path / "predictions.csv"
+    assert main(["train", "--data", str(synth_csv), "--model", "dummy",
+                 "--output", str(model_file)]) == EXIT_OK
+    document = json.loads(model_file.read_text())
+    document["state"].update(classes=[2], prior=[1.0])
+    model_file.write_text(json.dumps(document))
+    assert main(["predict", "--data", str(synth_csv), "--model-file", str(model_file),
+                 "--output", str(predictions)]) == EXIT_OK
+    lines = predictions.read_text().splitlines()
+    assert len(lines) == 241
+    assert all(line.endswith(",2,SS") for line in lines[1:])
 
 
 def test_tree_of_depth_3999_trains_saves_and_predicts(tmp_path, capsys):

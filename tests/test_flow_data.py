@@ -12,6 +12,7 @@ from flowbench import flow_data
 from flowbench.features import fit_transform
 from flowbench.flow_data import (
     CANONICAL_COLUMNS,
+    CLASS_TOKENS,
     COLUMNS,
     FlowRecord,
     FlowTable,
@@ -133,7 +134,7 @@ def test_parse_reference_row():
     assert r.ip_class == "A"
     assert r.threat == "Botnet"
     assert r.port == 5061
-    assert r.prediction is ThreatClass.SYNTHETIC_SIGNATURE
+    assert r.prediction == 2
 
 
 @pytest.mark.parametrize("kind", ["path", "str path", "bytes", "byte stream"])
@@ -335,7 +336,7 @@ def _reference_csv(table) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CANONICAL_COLUMNS)
-    writer.writerows((*r[:-1], r[-1].token) for r in table)
+    writer.writerows((*r[:-1], CLASS_TOKENS[r[-1]]) for r in table)
     return buffer.getvalue()
 
 
@@ -370,7 +371,7 @@ def test_row_count_matches_data_lines(synth_records):
     text = records_to_csv(synth_records)
     data_lines = text.strip().splitlines()[1:]
     parsed = parse_dataset(text.encode())
-    assert summarize(parsed).row_count == len(data_lines) == len(synth_records)
+    assert summarize(parsed)["row_count"] == len(data_lines) == len(synth_records)
 
 
 def test_threat_class_codes_follow_lexicographic_rank():
@@ -378,8 +379,9 @@ def test_threat_class_codes_follow_lexicographic_rank():
     assert sorted(tokens) == tokens
     for rank, token in enumerate(sorted(tokens)):
         (record,) = parse_dataset(csv_bytes(_with_cells(Prediction=token)))
-        assert record.prediction is ThreatClass(rank)
-        assert ThreatClass(rank).token == token
+        assert record.prediction == rank
+        # perfbench/run.py maps codes to tokens through ThreatClass.
+        assert ThreatClass(rank).token == CLASS_TOKENS[rank] == token
 
 
 def test_threat_class_rejects_unknown_token():
@@ -389,9 +391,9 @@ def test_threat_class_rejects_unknown_token():
 
 def test_summarize_empty():
     summary = summarize(parse_dataset(csv_bytes()))
-    assert summary.row_count == 0
-    assert summary.family_counts == {}
-    assert all(count == 0 for count in summary.class_counts.values())
+    assert summary["row_count"] == 0
+    assert summary["family_counts"] == {}
+    assert all(count == 0 for count in summary["class_counts"].values())
 
 
 def test_summarize_family_histogram():
@@ -401,15 +403,15 @@ def test_summarize_family_histogram():
         FIGURE_ROW.replace("WannaCry", "Y"),
     ]
     summary = summarize(parse_dataset(csv_bytes(*rows)))
-    assert summary.family_counts == {"X": 2, "Y": 1}
-    assert summary.family_count == 2
+    assert summary["family_counts"] == {"X": 2, "Y": 1}
+    assert summary["family_count"] == 2
 
 
 def test_summarize_histograms_sum_to_row_count(synth_records):
     summary = summarize(synth_records)
-    assert sum(summary.family_counts.values()) == summary.row_count
-    assert sum(summary.class_counts.values()) == summary.row_count
-    assert set(summary.distinct_counts) == set(CANONICAL_COLUMNS)
+    assert sum(summary["family_counts"].values()) == summary["row_count"]
+    assert sum(summary["class_counts"].values()) == summary["row_count"]
+    assert set(summary["distinct_counts"]) == set(CANONICAL_COLUMNS)
 
 
 # chunked parse against the row-by-row oracle --------------------------------
@@ -657,7 +659,7 @@ def test_header_only_table_is_empty():
 def test_summary_of_table_equals_summary_of_records(synth_records):
     table = parse_dataset(records_to_csv(synth_records).encode())
     assert summarize(table) == summarize(synth_records)
-    assert summarize(table).distinct_counts == {
+    assert summarize(table)["distinct_counts"] == {
         column: len({r[i] for r in synth_records})
         for i, column in enumerate(CANONICAL_COLUMNS)
     }

@@ -53,8 +53,8 @@ def test_generator_validates_arguments():
 def test_generated_records_are_schema_valid():
     records = generate_records(500, seed=2, signal_strength=0.7)
     summary = summarize(records)
-    assert summary.row_count == 500
-    assert sum(summary.class_counts.values()) == 500
+    assert summary["row_count"] == 500
+    assert sum(summary["class_counts"].values()) == 500
     for r in itertools.islice(records, 50):
         assert r.protocol in ("TCP", "UDP", "ICMP")
         assert 0 <= r.port <= 65535
@@ -63,7 +63,7 @@ def test_generated_records_are_schema_valid():
 
 def test_classes_roughly_balanced():
     records = generate_records(3000, seed=3, signal_strength=0.5)
-    counts = np.array(list(summarize(records).class_counts.values()))
+    counts = np.array(list(summarize(records)["class_counts"].values()))
     assert counts.min() > 0.25 * 3000
 
 

@@ -58,10 +58,8 @@ class Classifier:
         return self
 
     def predict_scores(self, X) -> np.ndarray:
-        X = self._check_predict_input(X)
-        if X.shape[0] == 0:
-            return np.zeros((0, self.classes_.size), dtype=np.float64)
-        return self._scores(X)
+        """`_scores` of the checked input; every model's `_scores` maps zero rows to (0, k)."""
+        return self._scores(self._check_predict_input(X))
 
     def predict(self, X) -> np.ndarray:
         return self.labels_from_scores(self.predict_scores(X))

@@ -94,6 +94,17 @@ def margin(model, class_code: int) -> float:
     return 2.0 / norm
 
 
+def _solved(a, b, message: str) -> np.ndarray:
+    """The solution of a x = b, or ValueError(message) if float64 has no finite one."""
+    try:
+        x = np.linalg.solve(a, b)
+        if np.isfinite(x).all():
+            return x
+    except np.linalg.LinAlgError:
+        pass
+    raise ValueError(message)
+
+
 class _LinearModel(Classifier):
     """One weight row and one bias per class; scores are X @ W.T + b."""
 
@@ -111,10 +122,10 @@ class _LinearModel(Classifier):
 def _windows(rows, row_targets, rates, l2):
     """The factors of a run of SGD steps, one tuple per window of WINDOW_ROWS rows.
 
-    A class's weights and bias are one row theta = [w, b]. Rows are
-    zero-padded to whole windows; a padded row's rate is 0, so its step is
-    0 whatever it decides. With S_j the product of the decays of the
-    window's rows before j, and m = WINDOW_ROWS, a window's tuple holds:
+    `rows` are the rows [x, 1] and a class's weights and bias one row theta =
+    [w, b]. Rows are zero-padded to whole windows; a padded row's rate is 0,
+    so its step is 0 whatever it decides. With S_j the product of the decays
+    of the window's rows before j, and m = WINDOW_ROWS, a window's tuple holds:
 
     * lead     the rows [S_j x_j, 1]: theta . lead[j] is z_j from the window's start;
     * mixing   M[j, i] = (S_j / S_{i+1}) x_i.x_j + 1 for i < j, else 0;
@@ -124,11 +135,10 @@ def _windows(rows, row_targets, rates, l2):
     * targets  and pulls, each class's y_j and lr_j y_j.
     """
     m = WINDOW_ROWS
-    n, d = rows.shape
+    n, d = rows.shape[0], rows.shape[1] - 1
     count = -(-n // m)
     X = np.zeros((count * m, d + 1))
-    X[:n, :d] = rows
-    X[:n, d] = 1.0
+    X[:n] = rows
     X = X.reshape(count, m, d + 1)
     lr = np.zeros(count * m)
     lr[:n] = rates
@@ -190,10 +200,9 @@ class _SGDBase(_LinearModel):
 
     def _fit(self, X, codes):
         n, d = X.shape
-        k = self.classes_.size
+        rows = np.hstack([X, np.ones((n, 1))])
         targets = self._targets(codes)
-        W = np.zeros((k, d), dtype=np.float64)
-        bias = [0.0] * k
+        theta = np.zeros((self.classes_.size, d + 1))  # each class's [w, b]
         rng = np.random.default_rng(self.seed)
         step = stale = 0
         best = math.inf
@@ -201,21 +210,19 @@ class _SGDBase(_LinearModel):
             order = rng.permutation(n)
             rates = self.learning_rate / np.sqrt(np.arange(step + 1, step + n + 1))
             step += n
-            self._sgd_pass(W, bias, X[order], targets[order], rates)
-            loss = self._objective(X, targets, W, np.array(bias))
+            self._sgd_pass(theta, rows[order], targets[order], rates)
+            loss = self._objective(X, targets, theta[:, :d], theta[:, d])
             stale = 0 if loss < best - self.tol else stale + 1
             best = min(best, loss)
             if stale >= self.n_iter_no_change:
                 break
-        self.weights_ = W
-        self.bias_ = np.array(bias)
+        self.weights_, self.bias_ = theta[:, :d], theta[:, d]
 
-    def _sgd_pass(self, W, bias, rows, row_targets, rates):
-        """Take one step per row of `rows`, in order; update W and bias in place."""
+    def _sgd_pass(self, theta, rows, row_targets, rates):
+        """Take one step per row [x, 1] of `rows`, in order; update theta = [W | b] in place."""
         # y*z <= 0 is y*z below the smallest positive float, so hinge and
         # perceptron share one comparison.
         edge = 1.0 if self._loss == "hinge" else math.ulp(0.0)
-        theta = np.hstack([W, np.array(bias)[:, None]])
         for start in range(0, rows.shape[0], GROUP_ROWS):
             group = slice(start, start + GROUP_ROWS)
             for lead, mixing, slack, tail, decay, targets, pulls in _windows(
@@ -233,8 +240,6 @@ class _SGDBase(_LinearModel):
                     _walk(c, base + np.dot(c, mixing.T), undecided, mixing, targets, pulls, edge)
                 theta *= decay
                 theta += np.dot(c, tail)
-        W[:] = theta[:, :-1]
-        bias[:] = theta[:, -1].tolist()
 
     def _objective(self, X, targets, W, b) -> float:
         margins = targets * (X @ W.T + b)
@@ -273,8 +278,7 @@ class LogisticRegressionModel(_LinearModel):
         rows = np.hstack([X, np.ones((n, 1))])
         penalty = np.append(np.full(d, self.l2), 0.0)  # the bias is not penalized
         theta = np.array([self._newton(rows, y, penalty) for y in self._targets(codes).T])
-        self.weights_ = theta[:, :d]
-        self.bias_ = theta[:, d]
+        self.weights_, self.bias_ = theta[:, :d], theta[:, d]
 
     def _newton(self, rows, y, penalty):
         """Minimize the mean of log(1 + exp(-y * rows @ theta)) + penalty/2 . theta**2."""
@@ -294,12 +298,9 @@ class LogisticRegressionModel(_LinearModel):
             # sigmoid(z) * sigmoid(-z), in log space so it stays accurate at large |z|
             curvature = np.exp(log_miss - np.logaddexp(0.0, -margins))
             hessian = (rows.T * curvature) @ rows / n + np.diag(penalty)
-            try:
-                step = np.linalg.solve(hessian, -gradient)
-                if not np.isfinite(step).all():
-                    raise np.linalg.LinAlgError
-            except np.linalg.LinAlgError:
-                raise ValueError("the Newton step has no finite solution in float64") from None
+            step = _solved(
+                hessian, -gradient, "the Newton step has no finite solution in float64"
+            )
             # Halve the step until the objective falls by at least 1e-4 of the
             # fall its slope predicts; a NaN objective never passes. The loop
             # ends at the latest once the step and its predicted fall both
@@ -345,14 +346,9 @@ class RidgeModel(_LinearModel):
         d = X.shape[1]
         targets = self._targets(codes)
         system = X.T @ X + self.lam * np.eye(d)
-        rhs = X.T @ targets
+        rhs = X.T @ targets  # (d, k), as is the solution
         # X'X + lam*I is positive definite; only float64 overflow or rounding
         # can leave it without a finite solution.
-        try:
-            solution = np.linalg.solve(system, rhs)  # (d, k)
-            if not np.isfinite(solution).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            raise ValueError("the normal equations have no finite solution in float64") from None
+        solution = _solved(system, rhs, "the normal equations have no finite solution in float64")
         self.weights_ = solution.T
         self.bias_ = targets.mean(axis=0) - X.mean(axis=0) @ solution

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -165,8 +166,8 @@ def _load_records(path):
     return parse_dataset(path)
 
 
-def _split_run(args, requested):
-    """Options, model names, encoded data and holdout split of bench and roc."""
+def _prepared(args, requested):
+    """Checked options and model names of bench, roc and train, then the encoded --data."""
     try:
         options = BenchOptions(
             **{f.name: getattr(args, f.name) for f in fields(BenchOptions) if f.name in args}
@@ -174,10 +175,17 @@ def _split_run(args, requested):
         models = resolve_model_names(requested)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    records = _load_records(args.data)
-    matrix = fit_transform(records, scale=not args.no_scale)
-    plan = stratified_split(matrix.labels, options.test_fraction, options.seed)
-    return options, models, matrix, plan
+    matrix = fit_transform(_load_records(args.data), scale=not args.no_scale)
+    return options, models, matrix
+
+
+@contextmanager
+def _model_stage():
+    """Any failure of a fit or of scoring is a model error."""
+    try:
+        yield
+    except Exception as exc:
+        raise _ModelError(str(exc)) from exc
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -219,56 +227,46 @@ def _cmd_bench(args) -> int:
     requested = args.models
     if requested != "all":
         requested = [m.strip() for m in requested.split(",") if m.strip()]
-    options, models, matrix, plan = _split_run(args, requested)
+    options, models, matrix = _prepared(args, requested)
+    plan = stratified_split(matrix.labels, options.test_fraction, options.seed)
     leaderboard = run_benchmark(matrix, plan, models, options)
     _emit(render(leaderboard, args.format), args.output)
     return EXIT_OK
 
 
 def _cmd_roc(args) -> int:
-    options, (name,), matrix, plan = _split_run(args, [args.model])
-    try:
+    options, (name,), matrix = _prepared(args, [args.model])
+    plan = stratified_split(matrix.labels, options.test_fraction, options.seed)
+    with _model_stage():
         scores, _, _ = fit_and_score(
             lambda: make_model(name, seed=options.seed),
             matrix,
             plan.train_indices,
             plan.test_indices,
         )
-    except Exception as exc:
-        raise _ModelError(str(exc)) from exc
     curve = roc_curves(matrix.labels[plan.test_indices], scores)
     _emit(roc_to_csv(curve), args.output)
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    records = _load_records(args.data)
-    matrix = fit_transform(records, scale=not args.no_scale)
-    try:
-        model = make_model(args.model, seed=args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    try:
+    options, (name,), matrix = _prepared(args, [args.model])
+    model = make_model(name, seed=options.seed)
+    with _model_stage():
         model.fit(matrix.rows_for(model), matrix.labels)
-    except (OSError, ValueError, RuntimeError) as exc:
-        raise _ModelError(str(exc)) from exc
     save_model(args.output, model, encoders=matrix.encoders, scaler=matrix.scaler)
-    print(f"saved {args.model} to {args.output} ({len(records)} training rows)")
+    print(f"saved {name} to {args.output} ({matrix.labels.size} training rows)")
     return EXIT_OK
 
 
 def _cmd_predict(args) -> int:
     artifact = load_model(args.model_file)
-    records = _load_records(args.data)
-    rows = encode_records(records, artifact.encoders)
-    try:
-        # The cells are bounded integers, so a float error is the model file's.
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if artifact.model.needs_scaling and artifact.scaler is not None:
-                rows = artifact.scaler.apply(rows)
-            predicted = artifact.model.predict(rows)
-    except Exception as exc:
-        raise _ModelError(str(exc)) from exc
+    rows = encode_records(_load_records(args.data), artifact.encoders)
+    # The cells are bounded integers, so a float error is the model file's.
+    with _model_stage(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        if artifact.model.needs_scaling and artifact.scaler is not None:
+            rows = artifact.scaler.apply(rows)
+        predicted = artifact.model.predict(rows)
     codes = predicted.tolist()
     # load_model admits only known class codes, so each indexes its line ending.
     endings = [f",{code},{token}\n" for code, token in enumerate(CLASS_TOKENS)]

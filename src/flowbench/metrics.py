@@ -120,15 +120,13 @@ def f1(counts: np.ndarray, averaging: str = "weighted") -> float:
 
 
 def roc_curve(y_true, scores: np.ndarray, positive_class: int) -> RocPoints:
-    """One-vs-rest ROC via a descending threshold sweep; AUC by trapezoid rule.
+    """One-vs-rest ROC of score matrix column `positive_class`; AUC by trapezoid rule.
 
-    Tied scores collapse into a single step, which credits half a pair for
-    ties, so the AUC equals the Mann-Whitney pair statistic.
+    A descending threshold sweep: tied scores collapse into a single step, which
+    credits half a pair for ties, so the AUC equals the Mann-Whitney pair statistic.
     """
     y_true = np.asarray(y_true, dtype=np.int64)
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim == 2:
-        s = s[:, positive_class]
+    s = np.asarray(scores, dtype=np.float64)[:, positive_class]
     positive = y_true == positive_class
     n_pos = int(positive.sum())
     n_neg = int(y_true.size - n_pos)

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowbench import cli
+from flowbench.classifiers.dummy import DummyModel
 from flowbench.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from flowbench.flow_data import parse_dataset, records_to_csv, summarize
 from flowbench.synth import generate_records
@@ -137,6 +139,24 @@ def test_unknown_model_name_is_usage_error(synth_csv):
     assert main(["roc", "--data", str(synth_csv), "--model", "nope"]) == EXIT_USAGE
 
 
+def test_train_checks_the_model_name_before_it_reads_the_data(
+    synth_csv, tmp_path, monkeypatch, capsys
+):
+    missing = str(tmp_path / "missing.csv")
+    output = str(tmp_path / "model.json")
+    assert main(["roc", "--data", missing, "--model", "nope"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: unknown model name(s): nope\n"
+    assert main(["train", "--data", missing, "--model", "nope", "--output", output]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: unknown model name(s): nope\n"
+
+    def unread(*args, **kwargs):
+        raise AssertionError("train read --data before it checked --model")
+
+    monkeypatch.setattr(cli, "parse_dataset", unread)
+    assert main(["train", "--data", str(synth_csv), "--model", "nope",
+                 "--output", output]) == EXIT_USAGE
+
+
 def test_duplicate_model_name_is_usage_error(synth_csv, capsys):
     argv = ["bench", "--data", str(synth_csv), "--models", "dummy,dummy"]
     assert main(argv) == EXIT_USAGE
@@ -253,6 +273,30 @@ def test_train_then_predict_round_trip(synth_csv, tmp_path, capsys):
     expected = model.predict(matrix.encoded)
     got = np.array([int(line.split(",")[1]) for line in lines[1:]])
     assert np.array_equal(got, expected)
+
+
+def _fails(*args):
+    raise OverflowError("boom")
+
+
+@pytest.mark.parametrize("command", ["train", "roc"])
+def test_any_fit_failure_is_a_model_error(command, synth_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(DummyModel, "_fit", _fails)
+    output = ["--output", str(tmp_path / "model.json")] if command == "train" else []
+    assert main([command, "--data", str(synth_csv), "--model", "dummy", *output]) == EXIT_MODEL
+    assert capsys.readouterr().err == "model error: boom\n"
+
+
+def test_any_scoring_failure_is_a_model_error(synth_csv, tmp_path, monkeypatch, capsys):
+    model_file = str(tmp_path / "model.json")
+    assert main(["train", "--data", str(synth_csv), "--model", "dummy",
+                 "--output", model_file]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(DummyModel, "_scores", _fails)
+    assert main(["roc", "--data", str(synth_csv), "--model", "dummy"]) == EXIT_MODEL
+    assert capsys.readouterr().err == "model error: boom\n"
+    assert main(["predict", "--data", str(synth_csv), "--model-file", model_file]) == EXIT_MODEL
+    assert capsys.readouterr().err == "model error: boom\n"
 
 
 def test_negative_seed_is_usage_error(synth_csv, tmp_path, capsys):

@@ -416,9 +416,10 @@ def test_late_training_pass_is_decided_by_the_bound(portfolio_train_rows, monkey
         real_walk(c, z, undecided, *rest)
 
     monkeypatch.setattr(linear, "_walk", counting_walk)
-    kernel_W, kernel_b = fitted.weights_.copy(), fitted.bias_.tolist()
-    fitted._sgd_pass(kernel_W, kernel_b, X[order], targets[order], rates)
-    fitted.weights_, fitted.bias_ = kernel_W, np.array(kernel_b)
+    theta = np.hstack([fitted.weights_, fitted.bias_[:, None]])
+    rows = np.hstack([X, np.ones((y.size, 1))])
+    fitted._sgd_pass(theta, rows[order], targets[order], rates)
+    fitted.weights_, fitted.bias_ = theta[:, :-1], theta[:, -1]
     _assert_matches_reference(fitted, W, b)
     assert sum(walked) <= 0.01 * targets.size  # Python walks at most 1% of the pairs
 

@@ -1,6 +1,6 @@
 """The benchmark harness still runs against the library: the traced CLI finds the
-names it rebinds, the kernel timings call the models as they are, and the tree
-and SGD models still give the confusions the benchmark recorded."""
+names it rebinds, the kernel timings call the models as they are, and the
+models still give the confusions the benchmark recorded."""
 
 import importlib.util
 import json
@@ -169,6 +169,23 @@ def test_tree_models_reproduce_the_recorded_confusions(workload, seed):
     recorded = run.load_references()[workload][str(seed)]
     confusions = _bench_confusions(run, workload, seed, TREE_MODELS)
     assert confusions == {m: recorded[m] for m in TREE_MODELS}
+
+
+# The other models the benchmark pins exactly in both 1k workloads.
+EXACT_MODELS = ["knn", "gaussian_nb", "bernoulli_nb", "nearest_centroid", "ridge", "dummy"]
+
+
+@pytest.mark.parametrize("model", EXACT_MODELS)
+@pytest.mark.parametrize("workload", ["portfolio-1k", "ensembles-1k"])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_exact_models_reproduce_the_recorded_confusions(workload, seed, model):
+    # reference_problem compares these models' confusions exactly too, and
+    # CI's benchmark steps run a seed without references. Their scores go
+    # through BLAS, yet test_bench.py's DEFAULT_MODEL_CONFUSIONS already pins
+    # them exactly on CI's three Pythons.
+    run = _perfbench_module("run")
+    recorded = run.load_references()[workload][str(seed)][model]
+    assert _bench_confusions(run, workload, seed, [model])[model] == recorded
 
 
 def _bench_confusions(run, workload: str, seed: int, models) -> dict:
